@@ -13,7 +13,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -21,7 +20,6 @@ import (
 	"easydram"
 	"easydram/internal/core"
 	"easydram/internal/difffuzz"
-	"easydram/internal/dram"
 	"easydram/internal/experiments"
 	"easydram/internal/smc"
 	"easydram/internal/stats"
@@ -513,17 +511,6 @@ func substrateMetrics(snap *snapshot) error {
 		workersSpeedup = scaling[0] / scaling[1]
 	}
 
-	// Host-parallel channel sharding (core.Config.ShardWorkers): one
-	// fence-heavy 4-channel MLP workload at 1 and 4 shard workers. The
-	// results must be byte-identical (shard/identity_mismatches gates at
-	// zero, on both engines); the wall-clock ratio is the within-run scaling
-	// trajectory (gated on >=4-CPU hosts only); and the serial run's settle
-	// counters record the mean batched-settlement length (ROADMAP item 4).
-	shardSpeedup, settleBatchLen, shardMismatches, err := shardMetrics()
-	if err != nil {
-		return err
-	}
-
 	cfg := core.TimeScalingA57()
 	cfg.DRAM = core.TechniqueDRAM()
 	sys, err := core.NewSystem(cfg)
@@ -552,102 +539,13 @@ func substrateMetrics(snap *snapshot) error {
 	snap.Metrics["substrate/multichan_allocs_op"] = float64(multiRes.AllocsPerOp())
 	snap.Metrics["substrate/multichan_overlap_x"] = multiOverlap
 	snap.Metrics["experiments/workers_speedup_4x"] = workersSpeedup
-	snap.Metrics["substrate/shard_speedup_x"] = shardSpeedup
-	snap.Metrics["substrate/settle_batch_len"] = settleBatchLen
-	snap.Metrics["shard/identity_mismatches"] = float64(shardMismatches)
 	snap.Metrics["smc/avg_burst_len"] = burstStats.AvgBurstLen()
 	snap.Metrics["characterization/rows_per_sec"] = rowsPerSec
 	snap.Metrics["characterization/roundtrips_per_row"] = tripsPerRow
-	fmt.Fprintf(os.Stderr, "benchall: substrate: cache %d ns/op (%d allocs/op), miss %d ns/op (%d allocs/op), fault-free %d ns/op (%d allocs/op), burst %d ns/op (%.2fx vs serial, avg len %.1f), multichan %d ns/op (%.2fx overlap), workers 1->4 %.2fx, shard 1->4 %.2fx (%d mismatches, settle batch %.1f), characterization %.0f rows/s (%.2f round-trips/row)\n",
+	fmt.Fprintf(os.Stderr, "benchall: substrate: cache %d ns/op (%d allocs/op), miss %d ns/op (%d allocs/op), fault-free %d ns/op (%d allocs/op), burst %d ns/op (%.2fx vs serial, avg len %.1f), multichan %d ns/op (%.2fx overlap), workers 1->4 %.2fx, characterization %.0f rows/s (%.2f round-trips/row)\n",
 		cacheRes.NsPerOp(), cacheRes.AllocsPerOp(), missRes.NsPerOp(), missRes.AllocsPerOp(),
 		faultFreeRes.NsPerOp(), faultFreeRes.AllocsPerOp(),
 		burstRes.NsPerOp(), burstSpeedup, burstStats.AvgBurstLen(),
-		multiRes.NsPerOp(), multiOverlap, workersSpeedup,
-		shardSpeedup, shardMismatches, settleBatchLen, rowsPerSec, tripsPerRow)
+		multiRes.NsPerOp(), multiOverlap, workersSpeedup, rowsPerSec, tripsPerRow)
 	return nil
-}
-
-// shardMetrics measures the host-parallel shard runner on a fence-heavy
-// 4-channel workload: whole-row dirtying, flushing, and a barrier per row,
-// so fences carry posted writebacks spread across every channel — the phase
-// the shard runner parallelizes. It returns the 1-vs-4-worker wall-clock
-// speedup (best of three, each side), the serial run's mean settle batch
-// length, and the count of result mismatches between worker counts across
-// both engines (always zero: sharding is byte-identical by construction).
-func shardMetrics() (speedup, settleBatchLen float64, mismatches int64, err error) {
-	const rows = 48
-	kernel := workload.Kernel{Name: "shard-wb-rows", Body: func(g *workload.Gen) {
-		const rowBytes = 8192
-		for r := 0; r < rows; r++ {
-			base := uint64(r) * rowBytes
-			for c := 0; c < rowBytes/64; c++ {
-				g.Store(base + uint64(c)*64)
-			}
-			for c := 0; c < rowBytes/64; c++ {
-				g.Flush(base + uint64(c)*64)
-			}
-			g.Barrier()
-		}
-	}}
-
-	run := func(cfg core.Config, workers int) (core.Result, float64, float64, error) {
-		cfg.Topology = dram.Topology{Channels: 4, Ranks: 1}
-		cfg.CPU.MLP = 8
-		cfg.ShardWorkers = workers
-		best := 0.0
-		var res core.Result
-		var batchLen float64
-		for i := 0; i < 3; i++ {
-			sys, err := core.NewSystem(cfg)
-			if err != nil {
-				return core.Result{}, 0, 0, err
-			}
-			t0 := time.Now()
-			r, err := sys.Run(kernel.Stream())
-			secs := time.Since(t0).Seconds()
-			if err != nil {
-				return core.Result{}, 0, 0, err
-			}
-			if best == 0 || secs < best {
-				best = secs
-			}
-			res = r
-			if batches, delivered := sys.SettleStats(); batches > 0 {
-				batchLen = float64(delivered) / float64(batches)
-			}
-		}
-		return res, best, batchLen, nil
-	}
-
-	scaled := core.TimeScalingA57()
-	unscaled := core.NoTimeScaling()
-	unscaled.CPU = scaled.CPU
-	unscaled.CPU.Clock = unscaled.ProcPhys
-
-	serialRes, serialSecs, batchLen, err := run(scaled, 1)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	shardRes, shardSecs, _, err := run(scaled, 4)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if !reflect.DeepEqual(serialRes, shardRes) {
-		mismatches++
-	}
-	uSerialRes, _, _, err := run(unscaled, 1)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	uShardRes, _, _, err := run(unscaled, 4)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if !reflect.DeepEqual(uSerialRes, uShardRes) {
-		mismatches++
-	}
-	if shardSecs > 0 {
-		speedup = serialSecs / shardSecs
-	}
-	return speedup, batchLen, mismatches, nil
 }

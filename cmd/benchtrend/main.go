@@ -17,12 +17,10 @@
 // same absolute gate guards faults/trr_escaped_flips — the TRR mitigation's
 // zero-flip guarantee is structural, not statistical — and, as a fixed
 // ceiling rather than a zero check, difffuzz/max_err_pct, which must stay
-// under the paper's 1% validation envelope, and shard/identity_mismatches,
-// which must be exactly zero: sharded channel execution is byte-identical
-// to serial by construction. Host-parallelism metrics
-// (experiments/workers_speedup_4x, substrate/shard_speedup_x) additionally
-// require both snapshots to record enough host CPUs (host_cpus) to express
-// the measured parallelism; otherwise they warn.
+// under the paper's 1% validation envelope. The host-parallelism metric
+// experiments/workers_speedup_4x additionally requires both snapshots to
+// record enough host CPUs (host_cpus) to express the measured parallelism;
+// otherwise it warns.
 // Semantic experiment results (figure speedups,
 // validation error) are reported informationally — those belong to the
 // experiments' own tests.
@@ -102,15 +100,6 @@ var trendMetrics = map[string]gatedMetric{
 	// host_cpus); smaller runners — where the ratio hovers near 1x on
 	// hardware grounds — and pre-host_cpus baselines only warn.
 	"experiments/workers_speedup_4x": {lowerIsBetter: false, machineDependent: true, minHostCPUs: 4},
-	// The shard runner's 1->4-worker within-run wall-clock speedup on a
-	// fence-heavy 4-channel workload. Like workers_speedup_4x it needs real
-	// cores to express, so it gates only between >=4-CPU snapshots and
-	// warns elsewhere.
-	"substrate/shard_speedup_x": {lowerIsBetter: false, machineDependent: true, minHostCPUs: 4},
-	// Sharded execution is byte-identical to serial by construction (the
-	// merge replays the exact serial step order), so any mismatch between
-	// worker counts is a determinism bug on any host.
-	"shard/identity_mismatches": {mustBeZero: true},
 	// The mean row-hit burst length is a pure property of the gather
 	// algorithm on the benchmark's traffic shape (no wall clock involved),
 	// so it gates on any host: a drop means the service path stopped

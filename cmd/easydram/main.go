@@ -3,9 +3,9 @@
 //
 // Usage:
 //
-//	easydram [-quick] [-seed N] [-burst-cap N] [-shard-workers N] [-cores N]
-//	         [-faults] [-mitigation P] [-save-profile DIR] [-load-profile DIR]
-//	         [-checkpoint FILE] [-v] <experiment>
+//	easydram [-quick] [-seed N] [-burst-cap N] [-channels N] [-ranks N]
+//	         [-cores N] [-faults] [-mitigation P] [-save-profile DIR]
+//	         [-load-profile DIR] [-checkpoint FILE] [-v] <experiment>
 //
 // where experiment is one of: table1, fig2, validation, fig8, fig10,
 // fig11, fig12, fig13, fig14, energy, ablations, disturb, snapshot,
@@ -26,7 +26,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "DRAM variation seed")
 	burstCap := flag.Int("burst-cap", 0, "row-hit burst service cap (0 = serial; emulated results are identical either way)")
 	channels := flag.Int("channels", 0, "memory channels (power of two; 0 = the paper's single channel). Topology is a workload axis: multi-channel runs overlap service and change emulated timing")
-	shardWorkers := flag.Int("shard-workers", 0, "host workers advancing emulated channels in parallel within one run (0 = GOMAXPROCS, 1 = serial); results are byte-identical at any count")
 	ranks := flag.Int("ranks", 0, "ranks per channel bus (power of two; 0 = the paper's single rank; rank switches pay the tRTRS turnaround)")
 	cores := flag.Int("cores", 0, "emulated core count the fairness sweep tops out at (0 = the default {2, 4} grid); a modeled-system axis — more cores means more contention")
 	faults := flag.Bool("faults", false, "arm default fault injection (chip disturb, transient/stuck-at reads, host-link failures) on every run; deterministic in -seed")
@@ -36,7 +35,7 @@ func main() {
 	loadProfile := flag.String("load-profile", "", "characterization store directory to warm-start from; missing/corrupt/stale profiles degrade to fresh characterization")
 	checkpoint := flag.String("checkpoint", "", "file the snapshot experiment writes its mid-run system checkpoint to")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: easydram [-quick] [-seed N] [-channels N] [-ranks N] [-shard-workers N] [-cores N] [-faults] [-mitigation P] [-save-profile DIR] [-load-profile DIR] [-checkpoint FILE] [-v] <table1|fig2|validation|fig8|fig10|fig11|fig12|fig13|fig14|energy|ablations|disturb|snapshot|fairness|all>\n")
+		fmt.Fprintf(os.Stderr, "usage: easydram [-quick] [-seed N] [-channels N] [-ranks N] [-cores N] [-faults] [-mitigation P] [-save-profile DIR] [-load-profile DIR] [-checkpoint FILE] [-v] <table1|fig2|validation|fig8|fig10|fig11|fig12|fig13|fig14|energy|ablations|disturb|snapshot|fairness|all>\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -55,7 +54,6 @@ func main() {
 	opt.Channels = *channels
 	opt.Ranks = *ranks
 	opt.Cores = *cores
-	opt.ShardWorkers = *shardWorkers
 	opt.Faults = *faults
 	opt.Mitigation = *mitigation
 	opt.Verbose = *verbose

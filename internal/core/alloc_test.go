@@ -19,7 +19,9 @@ func TestServiceLoopSteadyStateAllocs(t *testing.T) {
 		const span = uint64(1) << 31
 		ops := make([]workload.Op, n)
 		for i := range ops {
-			ops[i] = workload.Op{Kind: workload.OpLoad, Addr: uint64(i) * 131072 % span, Dep: true}
+			// The line offset spreads consecutive misses across the
+			// channels of the multi-channel rows.
+			ops[i] = workload.Op{Kind: workload.OpLoad, Addr: uint64(i)*131072%span + uint64(i%4)*64, Dep: true}
 		}
 		return ops
 	}
@@ -29,6 +31,8 @@ func TestServiceLoopSteadyStateAllocs(t *testing.T) {
 	}{
 		{"scaled", TimeScalingA57()},
 		{"unscaled", NoTimeScaling()},
+		{"scaled-4ch", withTopology(TimeScalingA57(), 4, 1)},
+		{"unscaled-4ch", withTopology(NoTimeScaling(), 4, 1)},
 	}
 	const small, large = 1024, 8192
 	for _, c := range configs {

@@ -41,6 +41,7 @@ func checkpointMatrix() []struct {
 		{"scaled", TimeScalingA57(), workload.PBGemver(48)},
 		{"unscaled", NoTimeScaling(), workload.PBGemver(32)},
 		{"scaled-2ch2rk", withTopology(TimeScalingA57(), 2, 2), workload.PBGemver(48)},
+		{"unscaled-4ch", withTopology(NoTimeScaling(), 4, 1), wbRowKernel(6)},
 		{"bliss-refresh-burst", bliss, workload.PBGemver(48)},
 		{"faulty-mitigated", faulty, workload.PBGemver(32)},
 		{"tracked-data", tracked, workload.PBGemver(32)},

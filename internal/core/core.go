@@ -92,25 +92,13 @@ type Config struct {
 	// would fall due, so refresh-on configurations burst too (see burst.go).
 	BurstCap int
 
-	// ShardWorkers bounds the host worker pool the engine shards per-channel
-	// service onto during fence and drain phases (see shard.go). This is
-	// host parallelism only: results are byte-identical at any worker count.
-	// 0 selects GOMAXPROCS; 1 forces the existing single-threaded path
-	// (zero overhead); values above the channel count are clamped. Sharded
-	// runs invoke a shared stateless Scheduler and the TRCD provider from
-	// several goroutines concurrently, so both must be safe for concurrent
-	// read-only use (every implementation in this repository is).
-	// ShardWorkers is deliberately excluded from CompatKey: a checkpoint
-	// taken at one worker count restores at any other.
-	ShardWorkers int
-
 	// Cores selects the number of emulated host cores. 0 or 1 models the
 	// paper's single-core host through the unchanged engine (bit-identical
 	// to the pre-multicore engine, golden-pinned). Above 1, the system
 	// models N cores with private L1s behind a shared L2 competing for the
 	// per-channel controllers; runs take one workload stream per core via
-	// RunStreams (see multicore.go). Multi-core runs force BurstCap and
-	// ShardWorkers to their serial settings and reject checkpoints.
+	// RunStreams (see multicore.go). Multi-core runs force BurstCap to its
+	// serial setting and reject checkpoints.
 	Cores int
 
 	// Topology selects the module organisation: independent channels, each
@@ -155,9 +143,6 @@ func (c Config) Validate() error {
 	}
 	if c.BurstCap < 0 {
 		return fmt.Errorf("core: burst cap must be non-negative, got %d", c.BurstCap)
-	}
-	if c.ShardWorkers < 0 {
-		return fmt.Errorf("core: shard workers must be non-negative, got %d", c.ShardWorkers)
 	}
 	if c.Cores < 0 || c.Cores > 64 {
 		return fmt.Errorf("core: cores must be in [0, 64], got %d", c.Cores)
@@ -273,34 +258,6 @@ type System struct {
 	// hostReqID numbers host-driven characterization requests (see host.go).
 	// Per-system so concurrently running systems stay independent.
 	hostReqID uint64
-
-	// settleBatches/settleDelivered hold the most recent run's batched
-	// response-settlement counters (see SettleStats).
-	settleBatches   int64
-	settleDelivered int64
-	// shardRounds/shardSteps hold the most recent run's shard-runner
-	// counters (see ShardStats).
-	shardRounds int64
-	shardSteps  int64
-}
-
-// SettleStats reports the batched response-settlement counters of the most
-// recent run: how many nonzero drains of matured responses the engine
-// performed (batches) and how many responses those drains delivered in total
-// (delivered). delivered/batches is the mean settle batch length — the
-// engine-overhead amortization ROADMAP item 4 targets. Host-side telemetry
-// only; the counters never feed emulated time.
-func (s *System) SettleStats() (batches, delivered int64) {
-	return s.settleBatches, s.settleDelivered
-}
-
-// ShardStats reports the host-parallel shard runner's counters for the most
-// recent run: how many parallel fence/drain rounds engaged and how many
-// channel steps those rounds executed off the serial path (see shard.go).
-// Host-side telemetry only; sharding never changes emulated results, so
-// these counters exist to prove a run actually exercised the parallel path.
-func (s *System) ShardStats() (rounds, steps int64) {
-	return s.shardRounds, s.shardSteps
 }
 
 // hostReqIDBase is the first host-driven request ID. It sits far above any
@@ -506,7 +463,6 @@ func (s *System) run(strm workload.Stream, ck *ckptReq, restore *snapshot.Reader
 		arrivals:      make([]arrivalRing, nch),
 		staged:        make([][]stagedReq, nch),
 		burstLimit:    make([]int64, nch),
-		shardWorkers:  effectiveShardWorkers(s.cfg.ShardWorkers, nch),
 		ckpt:          ck,
 		restore:       restore,
 	}
@@ -519,14 +475,11 @@ func (s *System) run(strm workload.Stream, ck *ckptReq, restore *snapshot.Reader
 		// (see burst.go), so the cap engages in every configuration.
 		e.burstCap = s.cfg.BurstCap
 	}
-	defer e.stopShard()
 	if s.cfg.Scaling {
 		err = e.runScaled()
 	} else {
 		err = e.runUnscaled()
 	}
-	s.settleBatches, s.settleDelivered = e.settleBatches, e.settleDelivered
-	s.shardRounds, s.shardSteps = e.shardRounds, e.shardSteps
 	if err != nil {
 		return Result{}, err
 	}
@@ -558,7 +511,7 @@ type engine struct {
 
 	// inflight tracks outstanding requests in dense slot rings indexed by
 	// request ID (IDs are sequential, so indexing replaces hashing), one
-	// ring per owning channel so shard workers mutate only their own ring.
+	// ring per owning channel.
 	inflight []slotRing
 	// arrivals mirrors inflight in issue order, one ring per channel
 	// (monotone arrival keys: processor-cycle tags when scaling, wall
@@ -603,23 +556,6 @@ type engine struct {
 	burstCap   int
 	burstPhase burstPhase
 	burstLimit []int64
-
-	// shardWorkers is the effective host worker count (1 = serial path);
-	// shard is the lazily created worker pool. See shard.go.
-	shardWorkers int
-	shard        *shardRunner
-
-	// settleBatches/settleDelivered count batched response settlement: each
-	// nonzero drain of matured releases is one batch. Exposed through
-	// System.SettleStats (not Result: the counters are host-side engine
-	// telemetry, not emulated-system behaviour).
-	settleBatches   int64
-	settleDelivered int64
-	// shardRounds/shardSteps count engaged shard rounds and the channel
-	// steps they executed off the serial path. Exposed through
-	// System.ShardStats.
-	shardRounds int64
-	shardSteps  int64
 
 	procCycles  clock.Cycles // final, non-scaled mode
 	globalFinal clock.Cycles

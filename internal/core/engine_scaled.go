@@ -43,12 +43,6 @@ func (e *engine) runScaled() error {
 				ts.JumpProcTo(clock.Cycles(release))
 				e.consumeScaled(e.blockedOn)
 				e.blockedOn = 0
-				// Batched settlement: every other response released by the
-				// jumped-to processor point matures with the one just
-				// consumed, so settle the whole batch here instead of
-				// paying one loop iteration per response (the next
-				// loop-top drain would deliver exactly these).
-				e.deliverMaturedScaled()
 				continue
 			}
 			e.burstPhase = burstPhaseBlocked
@@ -73,11 +67,6 @@ func (e *engine) runScaled() error {
 				continue
 			}
 			e.burstPhase = burstPhaseFence
-			if ran, err := e.shardRoundScaled(true); err != nil {
-				return err
-			} else if ran {
-				continue
-			}
 			if err := e.smcStepScaled(); err != nil {
 				return err
 			}
@@ -134,11 +123,6 @@ func (e *engine) runScaled() error {
 	// Drain posted writebacks so wall-time accounting covers them.
 	e.burstPhase = burstPhaseDrain
 	for e.inflightLen() > 0 {
-		if ran, err := e.shardRoundScaled(false); err != nil {
-			return err
-		} else if ran {
-			continue
-		}
 		if err := e.smcStepScaled(); err != nil {
 			return err
 		}
@@ -148,22 +132,15 @@ func (e *engine) runScaled() error {
 }
 
 // deliverMaturedScaled hands the core every ready response whose release
-// point has been reached (in release order, O(log n) each). Each nonzero
-// drain is one settle batch (ROADMAP item 4).
+// point has been reached (in release order, O(log n) each).
 func (e *engine) deliverMaturedScaled() {
 	proc := int64(e.ts.Proc())
-	n := int64(0)
 	for e.ready.Len() > 0 && e.ready.Min().release <= proc {
 		it := e.ready.PopMin()
 		e.core.Deliver(it.id)
 		if e.blockedOn == it.id {
 			e.blockedOn = 0
 		}
-		n++
-	}
-	if n > 0 {
-		e.settleBatches++
-		e.settleDelivered += n
 	}
 }
 
@@ -210,63 +187,18 @@ func (e *engine) mcTimeOf(ch int) clock.PS {
 // serveModeledChan is the multi-channel counterpart of
 // timescale.Counters.ServeModeled: one service on channel ch's own MC
 // chain, with the global MC counter lifted to the maximum over channels so
-// processor allowance sees the memory system's overall progress. A shard
-// worker (non-nil fx) must not touch the shared counter; chanMC is monotone
-// per channel, so the merge's final RaiseMCTime of each channel's chain
-// reproduces the maximum the per-step lifts would have reached.
-func (e *engine) serveModeledChan(ch int, fx *chanFX, arrival clock.Cycles, occupancy, latency clock.PS) clock.Cycles {
+// processor allowance sees the memory system's overall progress.
+func (e *engine) serveModeledChan(ch int, arrival clock.Cycles, occupancy, latency clock.PS) clock.Cycles {
 	start := e.chanMC[ch]
 	if t := e.ts.ProcEmul.ToTime(arrival); t > start {
 		start = t
 	}
 	e.chanMC[ch] = start + occupancy
-	if fx == nil {
-		e.ts.RaiseMCTime(e.chanMC[ch])
-	}
+	e.ts.RaiseMCTime(e.chanMC[ch])
 	if latency < occupancy {
 		latency = occupancy
 	}
 	return e.ts.ProcEmul.CyclesCeil(start + latency)
-}
-
-// chargeWallScaled charges FPGA wall time consumed by the SMC or Bender.
-// Serial path: straight to the counters. Shard worker: recorded as FPGA
-// cycles (the per-call ceiling AdvanceWall would take) and credited at
-// merge — with time scaling the charge only moves the global counter, a
-// commutative sum.
-func (e *engine) chargeWallScaled(fx *chanFX, d clock.PS) {
-	if fx == nil {
-		e.ts.AdvanceWall(d)
-		return
-	}
-	fx.global += e.cfg.FPGA.CyclesCeil(d)
-}
-
-// noteRelease tracks the run's maximum response release point (what a
-// fence jumps to). Commutative max, so workers record per-channel maxima.
-func (e *engine) noteRelease(fx *chanFX, release clock.Cycles) {
-	if fx == nil {
-		if release > e.maxRelease {
-			e.maxRelease = release
-		}
-		return
-	}
-	if release > fx.maxRel {
-		fx.maxRel = release
-	}
-}
-
-// pushReady queues one response for delivery. Serial path: straight into
-// the shared release heap. Shard worker: recorded in the effect sink; the
-// merge replays pushes in canonical serial order, so heap sequence numbers
-// — and therefore delivery order among equal releases — are bit-identical
-// to the serial run.
-func (e *engine) pushReady(fx *chanFX, id uint64, release int64) {
-	if fx == nil {
-		e.ready.Push(id, release)
-		return
-	}
-	fx.resps = append(fx.resps, shardRespFX{id: id, release: release})
 }
 
 // channelHasWorkScaled reports whether channel ch's controller has arrived
@@ -300,7 +232,7 @@ func (e *engine) pickChannelScaled() (int, bool) {
 // by max(service point, next arrival). Refreshes falling in idle periods
 // chain off the stale service point and so cost the emulated timeline
 // nothing.
-func (e *engine) settleRefreshesScaled(ch int, fx *chanFX) error {
+func (e *engine) settleRefreshesScaled(ch int) error {
 	c := &e.sys.chans[ch]
 	if !c.ctl.RefreshEnabled() {
 		return nil
@@ -334,13 +266,13 @@ func (e *engine) settleRefreshesScaled(ch int, fx *chanFX) error {
 		if e.cfg.HardwareMC {
 			charged = 0
 		}
-		e.chargeWallScaled(fx, clock.PS(charged)*e.cfg.FPGA.Period()+env.BenderWall())
+		e.ts.AdvanceWall(clock.PS(charged)*e.cfg.FPGA.Period() + env.BenderWall())
 		if single {
 			e.ts.ServeModeled(e.cfg.CPU.Clock.CyclesCeil(due), env.Occupancy(), env.Latency())
 		} else {
-			e.serveModeledChan(ch, fx, e.cfg.CPU.Clock.CyclesCeil(due), env.Occupancy(), env.Latency())
+			e.serveModeledChan(ch, e.cfg.CPU.Clock.CyclesCeil(due), env.Occupancy(), env.Latency())
 		}
-		if debugTrace && fx == nil {
+		if debugTrace {
 			tracef("S refresh ch=%d due=%v occ=%v mc=%d", ch, due, env.Occupancy(), e.ts.MC())
 		}
 	}
@@ -361,17 +293,13 @@ func (e *engine) smcStepScaled() error {
 		}
 		return fmt.Errorf("core: SMC idle with %d requests in flight (blocked=%d)", e.inflightLen(), e.blockedOn)
 	}
-	return e.stepChannelScaled(ch, nil)
+	return e.stepChannelScaled(ch)
 }
 
-// stepChannelScaled runs one controller iteration on channel ch. With a nil
-// fx the step applies its shared effects (wall charges, the shared MC
-// counter, release-heap pushes, maxRelease) directly — the serial path. A
-// non-nil fx is a shard worker's effect sink: shared effects are recorded
-// there for the canonical merge, and everything the step touches directly
-// is channel-local (see shard.go).
-func (e *engine) stepChannelScaled(ch int, fx *chanFX) error {
-	if err := e.settleRefreshesScaled(ch, fx); err != nil {
+// stepChannelScaled runs one controller iteration on channel ch and settles
+// its cost into the time-scaling counters.
+func (e *engine) stepChannelScaled(ch int) error {
+	if err := e.settleRefreshesScaled(ch); err != nil {
 		return err
 	}
 	c := &e.sys.chans[ch]
@@ -383,13 +311,6 @@ func (e *engine) stepChannelScaled(ch int, fx *chanFX) error {
 		return err
 	}
 	if !worked {
-		if fx != nil {
-			// A worker cannot consult the shared ready queue or move the
-			// processor; park the channel and let the serial path resolve
-			// the idle state.
-			fx.stopped = true
-			return nil
-		}
 		// Nothing left to serve on this channel: every in-flight request
 		// routed here has a ready response. Let the processor domain catch
 		// up to the earliest release so the responses mature.
@@ -403,14 +324,14 @@ func (e *engine) stepChannelScaled(ch int, fx *chanFX) error {
 	single := len(e.sys.chans) == 1
 
 	if len(env.Segments()) > 0 {
-		return e.settleScaledSegments(ch, env, fx)
+		return e.settleScaledSegments(ch, env)
 	}
 
 	charged := env.ChargedFPGA()
 	if e.cfg.HardwareMC {
 		charged = 0
 	}
-	e.chargeWallScaled(fx, clock.PS(charged)*e.cfg.FPGA.Period()+env.BenderWall())
+	e.ts.AdvanceWall(clock.PS(charged)*e.cfg.FPGA.Period() + env.BenderWall())
 
 	responses := env.Responses()
 	// One service on the channel's MC resource: start at max(service point,
@@ -428,10 +349,10 @@ func (e *engine) stepChannelScaled(ch int, fx *chanFX) error {
 	if single {
 		release = e.ts.ServeModeled(arrival, env.Occupancy(), env.Latency()+e.extraModeled(len(responses)))
 	} else {
-		release = e.serveModeledChan(ch, fx, arrival, env.Occupancy(), env.Latency()+e.extraModeled(len(responses)))
+		release = e.serveModeledChan(ch, arrival, env.Occupancy(), env.Latency()+e.extraModeled(len(responses)))
 	}
 	if len(responses) > 0 {
-		if debugTrace && fx == nil {
+		if debugTrace {
 			tracef("S serve ch=%d id=%d arrival=%d occ=%v lat=%v mc=%d release=%d proc=%d", ch, responses[0].ReqID, arrival, env.Occupancy(), env.Latency(), e.ts.MC(), release, e.ts.Proc())
 		}
 	}
@@ -440,7 +361,9 @@ func (e *engine) stepChannelScaled(ch int, fx *chanFX) error {
 		if !ok {
 			return fmt.Errorf("core: response for unknown request %d", r.ReqID)
 		}
-		e.noteRelease(fx, release)
+		if release > e.maxRelease {
+			e.maxRelease = release
+		}
 		if e.multi != nil {
 			e.multi.noteSettled(r.ReqID, int64(release), p.posted)
 			continue
@@ -448,11 +371,9 @@ func (e *engine) stepChannelScaled(ch int, fx *chanFX) error {
 		if p.posted {
 			continue
 		}
-		e.pushReady(fx, r.ReqID, int64(release))
+		e.ready.Push(r.ReqID, int64(release))
 	}
-	if fx == nil {
-		e.maybeExitCritical()
-	}
+	e.maybeExitCritical()
 	return nil
 }
 
@@ -463,7 +384,7 @@ func (e *engine) stepChannelScaled(ch int, fx *chanFX) error {
 // resource, and one release tag per response — so responses enter the
 // release queue with their individual latencies and the counters advance
 // bit-identically to serial service.
-func (e *engine) settleScaledSegments(ch int, env *smc.Env, fx *chanFX) error {
+func (e *engine) settleScaledSegments(ch int, env *smc.Env) error {
 	single := len(e.sys.chans) == 1
 	responses := env.Responses()
 	var prev smc.Segment
@@ -472,7 +393,7 @@ func (e *engine) settleScaledSegments(ch int, env *smc.Env, fx *chanFX) error {
 		if e.cfg.HardwareMC {
 			charged = 0
 		}
-		e.chargeWallScaled(fx, clock.PS(charged)*e.cfg.FPGA.Period()+s.Wall)
+		e.ts.AdvanceWall(clock.PS(charged)*e.cfg.FPGA.Period() + s.Wall)
 		if s.Responses != prev.Responses+1 {
 			return fmt.Errorf("core: burst segment closed with %d responses, want 1", s.Responses-prev.Responses)
 		}
@@ -487,26 +408,26 @@ func (e *engine) settleScaledSegments(ch int, env *smc.Env, fx *chanFX) error {
 			release = e.ts.ServeModeled(arrival, s.Occupancy-prev.Occupancy,
 				s.Latency-prev.Latency+e.extraModeled(1))
 		} else {
-			release = e.serveModeledChan(ch, fx, arrival, s.Occupancy-prev.Occupancy,
+			release = e.serveModeledChan(ch, arrival, s.Occupancy-prev.Occupancy,
 				s.Latency-prev.Latency+e.extraModeled(1))
 		}
-		if debugTrace && fx == nil {
+		if debugTrace {
 			tracef("S burst-serve ch=%d id=%d arrival=%d occ=%v lat=%v mc=%d release=%d proc=%d", ch, r.ReqID, arrival,
 				s.Occupancy-prev.Occupancy, s.Latency-prev.Latency, e.ts.MC(), release, e.ts.Proc())
 		}
 		if _, ok := e.inflight[ch].Take(r.ReqID); !ok {
 			return fmt.Errorf("core: response for unknown request %d", r.ReqID)
 		}
-		e.noteRelease(fx, release)
+		if release > e.maxRelease {
+			e.maxRelease = release
+		}
 		if e.multi != nil {
 			e.multi.noteSettled(r.ReqID, int64(release), p.posted)
 		} else if !p.posted {
-			e.pushReady(fx, r.ReqID, int64(release))
+			e.ready.Push(r.ReqID, int64(release))
 		}
 		prev = s
 	}
-	if fx == nil {
-		e.maybeExitCritical()
-	}
+	e.maybeExitCritical()
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"easydram/internal/smc"
@@ -106,6 +107,44 @@ func TestMaxProcCyclesAborts(t *testing.T) {
 	_, err = sys.Run(workload.NewSliceStream([]workload.Op{{Kind: workload.OpCompute, N: 1_000_000}}))
 	if err == nil {
 		t.Fatalf("cap did not abort the run")
+	}
+}
+
+// badPickSched is a deliberately broken user scheduler: its picks address
+// one past the end of the request table. With burst set, Pick behaves and
+// only PickBurst is broken, so the burst service path is the one that trips.
+type badPickSched struct{ burst bool }
+
+func (badPickSched) Name() string { return "bad-pick" }
+
+func (s badPickSched) Pick(table []smc.Entry, _ []int) int {
+	if s.burst {
+		return 0
+	}
+	return len(table)
+}
+
+func (badPickSched) PickBurst(table []smc.Entry, _ []int, _ int, buf []int) []int {
+	return append(buf, len(table))
+}
+
+// TestBadSchedulerPickIsAnError pins the scheduler contract at the System
+// boundary: an out-of-range pick, from Pick with the burst cap off or from
+// PickBurst with it on, ends the run with smc.ErrBadPick instead of a panic.
+func TestBadSchedulerPickIsAnError(t *testing.T) {
+	for _, burst := range []bool{false, true} {
+		cfg := burstMLP8(TimeScalingA57())
+		cfg.Scheduler = badPickSched{burst: burst}
+		if burst {
+			cfg.BurstCap = 8
+		}
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Run(wbRowKernel(2).Stream()); !errors.Is(err, smc.ErrBadPick) {
+			t.Fatalf("burst=%v: got %v, want smc.ErrBadPick", burst, err)
+		}
 	}
 }
 

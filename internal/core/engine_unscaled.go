@@ -53,12 +53,6 @@ func (e *engine) runUnscaled() error {
 				e.ready.Remove(e.blockedOn)
 				e.core.Deliver(e.blockedOn)
 				e.blockedOn = 0
-				// Batched settlement: every other response due by the
-				// advanced wall point matures with the one just consumed,
-				// so settle the whole batch here instead of paying one
-				// loop iteration per response (the next loop-top drain
-				// would deliver exactly these).
-				e.drainMaturedUnscaled()
 				continue
 			}
 			e.burstPhase = burstPhaseBlocked
@@ -83,11 +77,6 @@ func (e *engine) runUnscaled() error {
 			}
 			if e.inflightLen() > 0 {
 				e.burstPhase = burstPhaseFence
-				if ran, err := e.shardRoundUnscaled(true); err != nil {
-					return err
-				} else if ran {
-					continue
-				}
 				w, err := e.smcStepUnscaled()
 				if err != nil {
 					return err
@@ -157,11 +146,6 @@ func (e *engine) runUnscaled() error {
 	// Drain remaining posted writebacks for wall-time accounting.
 	e.burstPhase = burstPhaseDrain
 	for e.inflightLen() > 0 {
-		if ran, err := e.shardRoundUnscaled(false); err != nil {
-			return err
-		} else if ran {
-			continue
-		}
 		w, err := e.smcStepUnscaled()
 		if err != nil {
 			return err
@@ -181,22 +165,14 @@ func (e *engine) runUnscaled() error {
 }
 
 // drainMaturedUnscaled hands the core every ready response whose wall
-// release time has passed, in release order. Each nonzero drain is one
-// settle batch (ROADMAP item 4: responses settle in batches instead of one
-// engine iteration each).
+// release time has passed, in release order.
 func (e *engine) drainMaturedUnscaled() {
-	n := int64(0)
 	for e.ready.Len() > 0 && e.ready.Min().release <= int64(e.wallNow) {
 		it := e.ready.PopMin()
 		e.core.Deliver(it.id)
 		if e.blockedOn == it.id {
 			e.blockedOn = 0
 		}
-		n++
-	}
-	if n > 0 {
-		e.settleBatches++
-		e.settleDelivered += n
 	}
 }
 
@@ -210,9 +186,7 @@ func (e *engine) channelHasWorkUnscaled(ch int) bool {
 
 // chanKeyUnscaled is channel ch's pick key: its next controller decision
 // point, max(the channel's SMC-free point, its next staged arrival when it
-// is otherwise idle). Monotone nondecreasing across the channel's steps —
-// what makes the shard merge's (key, channel) order equal the serial
-// interleave (see shard.go).
+// is otherwise idle).
 func (e *engine) chanKeyUnscaled(ch int) clock.PS {
 	key := e.chanFree[ch]
 	c := &e.sys.chans[ch]
@@ -301,15 +275,12 @@ func (e *engine) smcStepUnscaled() (clock.PS, error) {
 		}
 		return 0, fmt.Errorf("core: SMC idle with %d requests in flight (blocked=%d)", e.inflightLen(), e.blockedOn)
 	}
-	return e.stepChannelUnscaled(ch, nil)
+	return e.stepChannelUnscaled(ch)
 }
 
-// stepChannelUnscaled runs one controller iteration on channel ch. With a
-// nil fx the step applies its shared effects (ready-queue pushes) directly
-// — the serial path. A non-nil fx is a shard worker's effect sink: shared
-// effects are recorded there for the canonical merge, and everything the
-// step touches directly is channel-local (see shard.go).
-func (e *engine) stepChannelUnscaled(ch int, fx *chanFX) (clock.PS, error) {
+// stepChannelUnscaled runs one controller iteration on channel ch and
+// returns the completion wall time of the work done.
+func (e *engine) stepChannelUnscaled(ch int) (clock.PS, error) {
 	if err := e.settleRefreshesUnscaled(ch); err != nil {
 		return 0, err
 	}
@@ -319,12 +290,7 @@ func (e *engine) stepChannelUnscaled(ch int, fx *chanFX) (clock.PS, error) {
 	// decision point visible. If the controller is idle, the next decision
 	// happens when the earliest staged request arrives. Staged requests sit
 	// in issue order and arrivals are monotone, so the earliest is first.
-	decision := e.chanFree[ch]
-	if len(e.staged[ch]) > 0 && c.tile.IncomingEmpty() && c.ctl.Pending() == 0 {
-		if p, ok := e.inflight[ch].Get(e.staged[ch][0].id); ok && decision < p.arrival {
-			decision = p.arrival
-		}
-	}
+	decision := e.chanKeyUnscaled(ch)
 	kept := e.staged[ch][:0]
 	for _, sr := range e.staged[ch] {
 		if p, _ := e.inflight[ch].Get(sr.id); p.arrival <= decision {
@@ -355,12 +321,6 @@ func (e *engine) stepChannelUnscaled(ch int, fx *chanFX) (clock.PS, error) {
 		return 0, err
 	}
 	if !worked {
-		if fx != nil {
-			// A worker cannot consult the shared ready queue; park the
-			// channel and let the serial path resolve the idle state.
-			fx.stopped = true
-			return 0, nil
-		}
 		if e.ready.Len() > 0 {
 			// Everything outstanding is already responded; nothing to do.
 			return e.chanFree[ch], nil
@@ -371,7 +331,7 @@ func (e *engine) stepChannelUnscaled(ch int, fx *chanFX) (clock.PS, error) {
 	responses := env.Responses()
 
 	if len(env.Segments()) > 0 {
-		return e.settleUnscaledSegments(ch, env, fx)
+		return e.settleUnscaledSegments(ch, env)
 	}
 
 	// Service start: the SMC must be free and the request must have
@@ -404,7 +364,7 @@ func (e *engine) stepChannelUnscaled(ch int, fx *chanFX) (clock.PS, error) {
 	}
 	e.chanFree[ch] = completion
 	if len(responses) > 0 {
-		if debugTrace && fx == nil {
+		if debugTrace {
 			tracef("U serve ch=%d id=%d start=%d occ=%v lat=%v completion=%d release=%d", ch, responses[0].ReqID, start, env.Occupancy(), env.Latency(), completion, release)
 		}
 	}
@@ -421,7 +381,7 @@ func (e *engine) stepChannelUnscaled(ch int, fx *chanFX) (clock.PS, error) {
 		if p.posted {
 			continue
 		}
-		e.pushReady(fx, r.ReqID, int64(release))
+		e.ready.Push(r.ReqID, int64(release))
 	}
 	return completion, nil
 }
@@ -432,7 +392,7 @@ func (e *engine) stepChannelUnscaled(ch int, fx *chanFX) (clock.PS, error) {
 // chains the serial resource by its charged SMC cycles plus modeled
 // occupancy, and releases its response at its own latency. The returned
 // completion is the last segment's (the chain's maximum).
-func (e *engine) settleUnscaledSegments(ch int, env *smc.Env, fx *chanFX) (clock.PS, error) {
+func (e *engine) settleUnscaledSegments(ch int, env *smc.Env) (clock.PS, error) {
 	responses := env.Responses()
 	var prev smc.Segment
 	var completion clock.PS
@@ -463,14 +423,14 @@ func (e *engine) settleUnscaledSegments(ch int, env *smc.Env, fx *chanFX) (clock
 			release = completion
 		}
 		e.chanFree[ch] = completion
-		if debugTrace && fx == nil {
+		if debugTrace {
 			tracef("U burst-serve ch=%d id=%d start=%d completion=%d release=%d", ch, r.ReqID, start, completion, release)
 		}
 		e.inflight[ch].Take(r.ReqID)
 		if e.multi != nil {
 			e.multi.noteSettled(r.ReqID, int64(release), p.posted)
 		} else if !p.posted {
-			e.pushReady(fx, r.ReqID, int64(release))
+			e.ready.Push(r.ReqID, int64(release))
 		}
 		prev = s
 	}

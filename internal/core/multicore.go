@@ -93,18 +93,12 @@ func (m *mcEngine) noteSettled(id uint64, release int64, posted bool) {
 // drainCore delivers every matured response (release <= the core's
 // position) to the core, in release order.
 func (m *mcEngine) drainCore(c *mcCore) {
-	n := int64(0)
 	for c.ready.Len() > 0 && c.ready.Min().release <= c.pos {
 		it := c.ready.PopMin()
 		c.core.Deliver(it.id)
 		if c.blockedOn == it.id {
 			c.blockedOn = 0
 		}
-		n++
-	}
-	if n > 0 {
-		m.e.settleBatches++
-		m.e.settleDelivered += n
 	}
 }
 
@@ -209,7 +203,7 @@ func (e *engine) runMultiUnscaled() error {
 			e.wallNow = clock.PS(key)
 		}
 		if ch >= 0 {
-			if _, err := e.stepChannelUnscaled(ch, nil); err != nil {
+			if _, err := e.stepChannelUnscaled(ch); err != nil {
 				return err
 			}
 			continue
@@ -362,7 +356,7 @@ func (e *engine) runMultiScaled() error {
 		}
 		if ch >= 0 {
 			m.ingestScaled(ch)
-			if err := e.stepChannelScaled(ch, nil); err != nil {
+			if err := e.stepChannelScaled(ch); err != nil {
 				return err
 			}
 			continue
@@ -538,16 +532,14 @@ func (s *System) runMulti(strms []workload.Stream) (Result, error) {
 		inflight:      make([]slotRing, nch),
 		ready:         newReleaseQueue(),
 		trackArrivals: s.cfg.RefreshEnabled,
-		// Burst service and shard workers are single-core machinery; the
-		// merge loop forces both off (burst gates return false, channel
-		// steps run serial).
-		burstCap:     1,
-		chanFree:     make([]clock.PS, nch),
-		chanMC:       make([]clock.PS, nch),
-		arrivals:     make([]arrivalRing, nch),
-		staged:       make([][]stagedReq, nch),
-		burstLimit:   make([]int64, nch),
-		shardWorkers: 1,
+		// Burst service is single-core machinery; the merge loop forces
+		// it off (burst gates return false).
+		burstCap:   1,
+		chanFree:   make([]clock.PS, nch),
+		chanMC:     make([]clock.PS, nch),
+		arrivals:   make([]arrivalRing, nch),
+		staged:     make([][]stagedReq, nch),
+		burstLimit: make([]int64, nch),
 	}
 	for i := range e.inflight {
 		e.inflight[i] = newSlotRing()
@@ -559,8 +551,6 @@ func (s *System) runMulti(strms []workload.Stream) (Result, error) {
 	} else {
 		err = e.runMultiUnscaled()
 	}
-	s.settleBatches, s.settleDelivered = e.settleBatches, e.settleDelivered
-	s.shardRounds, s.shardSteps = 0, 0
 	if err != nil {
 		return Result{}, err
 	}

@@ -122,12 +122,6 @@ type Case struct {
 	// keep decoding to the same earlier-axis values.)
 	CheckpointFrac int `json:"checkpoint_frac,omitempty"`
 
-	// ShardWorkers > 1 arms the shard-identity check: the case runs with
-	// that many host shard workers and must produce a result bit-identical
-	// to the single-worker (serial-path) run — core.Config.ShardWorkers is
-	// a pure host-parallelism knob. 0 runs serial and skips the axis.
-	ShardWorkers int `json:"shard_workers,omitempty"`
-
 	// Cores > 1 runs the case on a multi-core emulated host: every core runs
 	// the case's kernel relocated into its own private address window,
 	// contending for the shared memory system. A modeled-system axis (the
@@ -257,12 +251,11 @@ func Decode(seed uint64) Case {
 		c.CheckpointFrac = 1 + int(s.mod(6)) // 1/8 .. 6/8 into the run
 	}
 
-	// Host-parallel shard workers (appended last, decoder purity): 1 in 3
-	// cases runs sharded and must digest-match its single-worker twin. Only
-	// multi-channel cases can engage the shard runner, so the draw is gated
-	// to keep the armed fraction meaningful.
+	// Reserved ordinals: a retired host-parallelism axis drew here. The
+	// draws are kept and their values discarded, so every seed still
+	// decodes to the same case on every later axis.
 	if c.Channels > 1 && s.chance(1, 3) {
-		c.ShardWorkers = 2 + int(s.mod(3)) // 2, 3, 4
+		s.mod(3)
 	}
 
 	// Multi-core emulated hosts (appended last, decoder purity): 1 in 4
@@ -270,11 +263,10 @@ func Decode(seed uint64) Case {
 	// axis trades away the envelope oracle (the baseline is single-core), so
 	// the bias keeps most of the corpus comparable. Armed cases disarm the
 	// axes multi-core systems reject or force serial anyway: checkpoints are
-	// unsupported and the engine pins burst/shard service to the serial path.
+	// unsupported and the engine pins burst service to the serial path.
 	if s.chance(1, 4) {
 		c.Cores = 2 + int(s.mod(3)) // 2, 3, 4
 		c.CheckpointFrac = 0
-		c.ShardWorkers = 0
 		c.BurstCap = 0
 	}
 	return c
@@ -317,13 +309,6 @@ func (c Case) SystemConfig() (core.Config, error) {
 
 	cfg.BurstCap = c.BurstCap
 	cfg.RefreshEnabled = c.Refresh
-	// Unarmed cases pin ShardWorkers to 1 (not 0 = GOMAXPROCS): the fuzzer's
-	// baseline runs must take the serial path so the shard-identity check
-	// compares a genuinely sharded run against a genuinely serial one.
-	cfg.ShardWorkers = 1
-	if c.ShardWorkers > 0 {
-		cfg.ShardWorkers = c.ShardWorkers
-	}
 	cfg.Faults = c.Faults.Config()
 	if c.Mitigation != "" {
 		cfg.Mitigation = fault.MitigationConfig{Policy: c.Mitigation, Seed: c.Faults.Seed}
@@ -338,9 +323,9 @@ func (c Case) String() string {
 	if mit == "" {
 		mit = "none"
 	}
-	return fmt.Sprintf("%s/%d %dch%drk/%s %s burst=%d refresh=%v ts=%v faults=%v mit=%s ck=%d shard=%d cores=%d",
+	return fmt.Sprintf("%s/%d %dch%drk/%s %s burst=%d refresh=%v ts=%v faults=%v mit=%s ck=%d cores=%d",
 		c.Kernel, c.KernelDim, c.Channels, c.Ranks, c.Interleave, c.Scheduler,
-		c.BurstCap, c.Refresh, c.TimeScaling, c.Faults.Enabled(), mit, c.CheckpointFrac, c.ShardWorkers, c.Cores)
+		c.BurstCap, c.Refresh, c.TimeScaling, c.Faults.Enabled(), mit, c.CheckpointFrac, c.Cores)
 }
 
 // MarshalIndent renders the case as the canonical JSON used in regression

@@ -37,7 +37,7 @@ const maxProcCycles = clock.Cycles(2_000_000_000)
 type Failure struct {
 	// Check identifies the oracle: "decode", "run", "conservation",
 	// "rank-bus", "fault-counters", "trr-escape", "determinism",
-	// "burst-identity", "shard-identity", "armed-idle",
+	// "burst-identity", "armed-idle",
 	// "checkpoint-identity", "envelope".
 	Check string `json:"check"`
 	// Detail is the human-readable mismatch.
@@ -321,25 +321,6 @@ func RunCase(c Case, mutate func(*core.Config)) Report {
 		}
 		if a, b := resultDigest(main), resultDigest(again); a != b {
 			rep.Failure = failf("determinism", "identical config produced different results:\n  %s\nvs\n  %s", a, b)
-			return rep
-		}
-	}
-
-	// Sharded ≡ serial: host-parallel channel execution must be invisible
-	// in every field of the result — not just emulated time but every
-	// statistic and the host-side counters too (the shard runner replays
-	// the exact serial step order; see core/shard.go). The main run used
-	// the case's worker count, so compare it against a single-worker twin.
-	if c.ShardWorkers > 1 && c.Channels > 1 && c.Cores <= 1 {
-		serial, err := runOnce(c, mutate, func(cfg *core.Config) { cfg.ShardWorkers = 1 })
-		rep.Runs++
-		if err != nil {
-			rep.Failure = failf("shard-identity", "single-worker counterpart failed: %v", err)
-			return rep
-		}
-		if a, b := resultDigest(main), resultDigest(serial); a != b {
-			rep.Failure = failf("shard-identity", "%d shard workers changed the result:\n  sharded: %s\n  serial:  %s",
-				c.ShardWorkers, a, b)
 			return rep
 		}
 	}

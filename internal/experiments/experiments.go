@@ -78,15 +78,9 @@ type Options struct {
 	// Cores selects the emulated core count the fairness sweep tops out at
 	// (cmd/easydram's -cores flag): FairnessSweep runs its mixes at {2,
 	// Cores} emulated cores. 0 leaves the default {2, 4} grid. Unlike
-	// Workers or ShardWorkers this is a modeled-system axis: more cores
-	// means more contention and different emulated timing.
+	// Workers this is a modeled-system axis: more cores means more
+	// contention and different emulated timing.
 	Cores int
-	// ShardWorkers bounds the host worker pool that advances emulated
-	// memory channels in parallel inside one run (core.Config.ShardWorkers;
-	// distinct from Workers, which parallelizes across runs). Result-
-	// neutral: any setting is byte-identical. 0 uses GOMAXPROCS, 1 forces
-	// the serial engine path (cmd/easydram's -shard-workers flag).
-	ShardWorkers int
 	// DisturbIntensities are the RowHammer sweep's hammer counts: double-
 	// sided activation pairs per victim site (see DisturbSweep).
 	DisturbIntensities []int
@@ -165,9 +159,6 @@ func runKernel(cfg core.Config, k workload.Kernel, opt Options) (core.Result, er
 	}
 	if opt.BurstCap > 0 {
 		cfg.BurstCap = opt.BurstCap
-	}
-	if opt.ShardWorkers > 0 {
-		cfg.ShardWorkers = opt.ShardWorkers
 	}
 	// Option-level topology applies only where the experiment left the
 	// preset default: a sweep that sets its own per-cell topology (the

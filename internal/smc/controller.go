@@ -329,6 +329,14 @@ func (c *BaseController) ServeOne(env *Env) (bool, error) {
 	// (bank, row) and serve them all through one Bender program.
 	if c.burstSched != nil && env.BurstBudget() > 1 && len(c.table) > 1 {
 		c.burstIdx = c.burstSched.PickBurst(c.table, c.openRows, env.BurstBudget(), c.burstIdx[:0])
+		if len(c.burstIdx) == 0 {
+			return false, fmt.Errorf("%w: %s PickBurst returned no index", ErrBadPick, c.cfg.Scheduler.Name())
+		}
+		for _, idx := range c.burstIdx {
+			if err := c.checkPick(idx); err != nil {
+				return false, err
+			}
+		}
 		if len(c.burstIdx) > 1 {
 			if err := c.serveAccessBurst(env); err != nil {
 				return false, err
@@ -354,8 +362,20 @@ func (c *BaseController) ServeOne(env *Env) (bool, error) {
 		idx = 0
 	} else {
 		idx = c.cfg.Scheduler.Pick(c.table, c.openRows)
+		if err := c.checkPick(idx); err != nil {
+			return false, err
+		}
 	}
 	return c.serveIndex(env, idx)
+}
+
+// checkPick returns ErrBadPick, wrapped with the scheduler's name and the
+// index, when idx addresses no entry of the request table.
+func (c *BaseController) checkPick(idx int) error {
+	if uint(idx) >= uint(len(c.table)) {
+		return fmt.Errorf("%w: %s picked index %d of a %d-entry table", ErrBadPick, c.cfg.Scheduler.Name(), idx, len(c.table))
+	}
+	return nil
 }
 
 // serveIndex serves the table entry at idx and removes it.

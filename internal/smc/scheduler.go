@@ -1,6 +1,8 @@
 package smc
 
 import (
+	"errors"
+
 	"easydram/internal/dram"
 	"easydram/internal/mem"
 	"easydram/internal/tile"
@@ -50,6 +52,12 @@ func (e *Entry) IsAccess() bool {
 	}
 	return false
 }
+
+// ErrBadPick reports a Pick or PickBurst result that addresses no entry of
+// the request table (or a PickBurst that returned no index at all). The
+// controller returns it wrapped with the scheduler's name and the bad index
+// instead of serving anything.
+var ErrBadPick = errors.New("smc: scheduler picked outside the request table")
 
 // Scheduler selects the next buffered request to serve (EasyAPI provides
 // FCFS, FR-FCFS, and BLISS implementations; users can plug their own).

@@ -194,19 +194,6 @@ func (c *Counters) ServeModeled(arrival clock.Cycles, occupancy, latency clock.P
 	return c.ProcEmul.CyclesCeil(start + latency)
 }
 
-// AddGlobal credits the FPGA global counter with already-converted FPGA
-// cycles. The engine's shard merge uses it to apply a worker's recorded
-// wall charges: each AdvanceWall-equivalent charge took its per-call cycle
-// ceiling when it was recorded, so applying the summed cycles is exact.
-// Only meaningful with time scaling (the processor is clock-gated through
-// the charged period, so no other counter moves).
-func (c *Counters) AddGlobal(n clock.Cycles) {
-	if n < 0 {
-		panic(fmt.Sprintf("timescale: negative global credit %d", n))
-	}
-	c.global += n
-}
-
 // AdvanceWall charges FPGA wall time consumed by the SMC or DRAM Bender.
 // With time scaling the processor is clock-gated during this period (its
 // counter does not move). Without time scaling the processor's clock keeps
