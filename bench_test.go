@@ -445,6 +445,33 @@ func BenchmarkSubstrateMultiChannel(b *testing.B) {
 	b.ReportMetric(h.Overlap(), "chan-overlap-x")
 }
 
+// BenchmarkSubstrateProfileRow measures the host-driven characterization
+// request path — hostServe, the whole-row profiling program, and Bender
+// with buffered readback — one ProfileRow request per op at the reduced
+// tRCD the weak-row studies use. The profiled rows are written once before
+// the timer starts (the chip's data store allocates a row's backing on
+// first write), so a warm request must report 0 allocs/op.
+func BenchmarkSubstrateProfileRow(b *testing.B) {
+	sys, err := NewSystem(WithDataTracking())
+	if err != nil {
+		b.Fatal(err)
+	}
+	const rows = 64
+	rowBytes := uint64(sys.RowBytes())
+	for r := uint64(0); r < rows; r++ {
+		if _, _, err := sys.ProfileRow(r*rowBytes, techniques.ReducedTRCD); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := sys.ProfileRow(uint64(i%rows)*rowBytes, techniques.ReducedTRCD); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEnergyExtension measures RowClone's DRAM-energy advantage for
 // bulk copy (the RowClone paper's second headline; extension experiment).
 func BenchmarkEnergyExtension(b *testing.B) {

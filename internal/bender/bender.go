@@ -176,7 +176,7 @@ func (e *Engine) Exec(prog []Instr, start clock.PS, wrbuf [][]byte) (Result, err
 			// Falling off the end terminates, like END.
 			break
 		}
-		in := prog[pc]
+		in := &prog[pc]
 		switch in.Op {
 		case OpNOP:
 			t += period
@@ -216,16 +216,21 @@ func (e *Engine) Exec(prog []Instr, start clock.PS, wrbuf [][]byte) (Result, err
 			if len(e.readback) >= e.maxRead {
 				return res, fmt.Errorf("bender: readback buffer overflow (%d lines)", e.maxRead)
 			}
-			var line ReadLine
+			// Decode straight into the buffer's next slot: a local line
+			// handed to the Device interface would escape to the heap on
+			// every RD. The zero append also clears a reused slot's
+			// LinkCorrupt mark.
+			e.readback = append(e.readback, ReadLine{})
+			line := &e.readback[len(e.readback)-1]
 			rel, err := e.chip.Read(in.A, in.B, t, line.Data[:])
 			if err != nil {
+				e.readback = e.readback[:len(e.readback)-1]
 				return res, fmt.Errorf("bender: pc=%d: %w", pc, err)
 			}
 			line.Reliable = rel
 			if !rel {
 				res.UnreliableReads++
 			}
-			e.readback = append(e.readback, line)
 			res.Commands++
 			res.Reads++
 			t += period

@@ -261,3 +261,163 @@ func TestBitwiseMAJBuilder(t *testing.T) {
 		t.Fatalf("sequence must leave the bank precharged")
 	}
 }
+
+// recordingDevice wraps a Chip and keeps a copy of every line its Read
+// produced, so a test can compare the readback buffer against the chip's
+// own output.
+type recordingDevice struct {
+	*dram.Chip
+	reads []ReadLine
+}
+
+func (d *recordingDevice) Read(bank, col int, t clock.PS, dst []byte) (bool, error) {
+	rel, err := d.Chip.Read(bank, col, t, dst)
+	if err == nil {
+		line := ReadLine{Reliable: rel}
+		copy(line.Data[:], dst)
+		d.reads = append(d.reads, line)
+	}
+	return rel, err
+}
+
+func TestReadbackMatchesChipReads(t *testing.T) {
+	cfg := dram.DefaultConfig()
+	cfg.RowsPerBank = 4096
+	chip, err := dram.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := &recordingDevice{Chip: chip}
+	e := NewEngine(dev, 64)
+	p := chip.Timing()
+	b := NewBuilder(p)
+	for col := 0; col < 8; col++ {
+		chip.PokeLine(dram.Addr{Bank: 1, Row: 9, Col: col}, bytes.Repeat([]byte{byte(0x10 + col)}, dram.LineBytes))
+		rcd := p.TRCD
+		if col%2 == 1 {
+			rcd = 2 * clock.Nanosecond // far below any line's minimum
+		}
+		b.ProfileCheck(dram.Addr{Bank: 1, Row: 9, Col: col}, rcd)
+	}
+	if _, err := e.Exec(b.Program(), 0, b.WriteBuf()); err != nil {
+		t.Fatal(err)
+	}
+	rb := e.Readback()
+	if len(rb) != len(dev.reads) || len(rb) != 8 {
+		t.Fatalf("readback holds %d lines, chip produced %d, want 8", len(rb), len(dev.reads))
+	}
+	reliable := 0
+	for i := range rb {
+		if rb[i] != dev.reads[i] {
+			t.Fatalf("line %d: readback %+v, chip produced %+v", i, rb[i], dev.reads[i])
+		}
+		if rb[i].Reliable {
+			reliable++
+		}
+	}
+	if reliable == 0 || reliable == len(rb) {
+		t.Fatalf("want a mix of reliable and unreliable reads, got %d of %d reliable", reliable, len(rb))
+	}
+}
+
+func TestReusedReadbackSlotClearsLinkCorrupt(t *testing.T) {
+	e := newTestEngine(t)
+	want := bytes.Repeat([]byte{0x5a}, dram.LineBytes)
+	addr := dram.Addr{Bank: 2, Row: 4, Col: 3}
+	e.Chip().PokeLine(addr, want)
+	b := NewBuilder(e.Chip().Timing())
+	b.ReadSequence(addr).PrechargeAfterRead(addr.Bank)
+	prog := b.Program()
+	if _, err := e.Exec(prog, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	e.Readback()[0].LinkCorrupt = true // as the tile's link model marks it
+	e.DrainReadback()
+	if _, err := e.Exec(prog, clock.Microsecond, nil); err != nil {
+		t.Fatal(err)
+	}
+	rb := e.Readback()
+	if len(rb) != 1 || rb[0].LinkCorrupt || !rb[0].Reliable || !bytes.Equal(rb[0].Data[:], want) {
+		t.Fatalf("reused slot carries stale state: %+v", rb)
+	}
+}
+
+func TestFailedReadLeavesReadbackUnchanged(t *testing.T) {
+	e := newTestEngine(t)
+	b := NewBuilder(e.Chip().Timing())
+	b.ReadSequence(dram.Addr{Bank: 0, Row: 1, Col: 2})
+	if _, err := e.Exec(b.Program(), 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	before := append([]ReadLine(nil), e.Readback()...)
+	// Bank 5 was never activated: the RD fails after the buffer check.
+	if _, err := e.Exec([]Instr{{Op: OpRD, A: 5, B: 0}}, clock.Microsecond, nil); err == nil {
+		t.Fatal("RD on a precharged bank must fail")
+	}
+	rb := e.Readback()
+	if len(rb) != len(before) || rb[0] != before[0] {
+		t.Fatalf("failed RD changed the readback buffer: %d lines, want %d", len(rb), len(before))
+	}
+}
+
+func TestStageWriteReusePadsShortData(t *testing.T) {
+	b := NewBuilder(dram.DefaultConfig().Timing)
+	b.StageWrite(bytes.Repeat([]byte{0xff}, dram.LineBytes))
+	first := &b.WriteBuf()[0][0]
+	b.Reset()
+	short := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	idx := b.StageWrite(short)
+	got := b.WriteBuf()[idx]
+	if &got[0] != first {
+		t.Fatal("StageWrite after Reset must reuse the builder's line buffer")
+	}
+	want := make([]byte, dram.LineBytes)
+	copy(want, short)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("staged line = %x, want %x", got, want)
+	}
+}
+
+func TestStageWriteEntriesDistinct(t *testing.T) {
+	b := NewBuilder(dram.DefaultConfig().Timing)
+	b.StageWrite(make([]byte, dram.LineBytes))
+	b.StageWrite(make([]byte, dram.LineBytes))
+	b.Reset()
+	x := bytes.Repeat([]byte{0xaa}, dram.LineBytes)
+	y := bytes.Repeat([]byte{0x55}, dram.LineBytes)
+	i, j := b.StageWrite(x), b.StageWrite(y)
+	wr := b.WriteBuf()
+	if i == j || &wr[i][0] == &wr[j][0] {
+		t.Fatalf("entries %d and %d share a buffer", i, j)
+	}
+	if !bytes.Equal(wr[i], x) || !bytes.Equal(wr[j], y) {
+		t.Fatalf("staged contents wrong: %x / %x", wr[i], wr[j])
+	}
+}
+
+func TestWRStoresDataWithReusedBuffer(t *testing.T) {
+	e := newTestEngine(t)
+	p := e.Chip().Timing()
+	b := NewBuilder(p)
+	write := func(col int, data []byte, start clock.PS) {
+		t.Helper()
+		b.Reset()
+		b.WriteSequence(dram.Addr{Bank: 0, Row: 6, Col: col}, data)
+		b.Wait(p.TCWL + p.TBL + p.TWR)
+		b.PRE(0)
+		b.Wait(p.TRP)
+		if _, err := e.Exec(b.Program(), start, b.WriteBuf()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	x := bytes.Repeat([]byte{0x11}, dram.LineBytes)
+	y := bytes.Repeat([]byte{0x22}, dram.LineBytes)
+	write(0, x, 0)
+	write(1, y, clock.Microsecond) // stages y into the buffer that held x
+	got := make([]byte, dram.LineBytes)
+	for col, want := range [][]byte{x, y} {
+		if !e.Chip().PeekLine(dram.Addr{Bank: 0, Row: 6, Col: col}, got) || !bytes.Equal(got, want) {
+			t.Fatalf("col %d holds %x, want %x", col, got, want)
+		}
+	}
+}

@@ -53,7 +53,9 @@ func (b *Builder) Program() []Instr {
 	return append(b.prog, Instr{Op: OpEND})
 }
 
-// WriteBuf returns the accumulated write-data buffer.
+// WriteBuf returns the accumulated write-data buffer. The slice and each
+// staged entry alias builder storage that the next Reset recycles: they are
+// valid until then.
 func (b *Builder) WriteBuf() [][]byte { return b.wr }
 
 // Emit appends a raw instruction.
@@ -121,12 +123,22 @@ func (b *Builder) WR(bank, col int, data []byte) *Builder {
 func (b *Builder) REF() *Builder { return b.Emit(Instr{Op: OpREF}) }
 
 // StageWrite copies data into the write buffer once and returns its index,
-// so many WR instructions can share one staged line (bulk patterns).
+// so many WR instructions can share one staged line (bulk patterns). Data
+// shorter than a line is zero-padded. The staged entry reuses a line buffer
+// an earlier program left behind (Reset keeps them past the slice's length)
+// and is valid until the next Reset.
 func (b *Builder) StageWrite(data []byte) int {
 	idx := len(b.wr)
-	cp := make([]byte, dram.LineBytes)
-	copy(cp, data)
-	b.wr = append(b.wr, cp)
+	var buf []byte
+	if idx < cap(b.wr) {
+		buf = b.wr[:idx+1][idx]
+	}
+	if buf == nil {
+		buf = make([]byte, dram.LineBytes)
+	}
+	n := copy(buf, data)
+	clear(buf[n:])
+	b.wr = append(b.wr, buf)
 	return idx
 }
 

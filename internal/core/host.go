@@ -83,8 +83,11 @@ func (s *System) rowBase(pa uint64) uint64 {
 // bender.StripeRowsMax). rowLines[r] is the r-th covered row's leading
 // reliable line count (the column count when the row passed); ok reports
 // whether every line of every row passed. Per-line outcomes are identical
-// to ProfileRow and ProfileLine.
+// to ProfileRow and ProfileLine. A rows value below 1 profiles one row.
 func (s *System) ProfileRowStripe(pa uint64, rows int, rcd clock.PS) (rowLines []int, ok bool, err error) {
+	// Rows > 0 marks the request as a stripe, which is what makes the
+	// controller return per-row counts.
+	rows = max(rows, 1)
 	r, err := s.hostServe(mem.Request{Kind: mem.ProfileRow, Addr: s.rowBase(pa), RCD: rcd, Rows: rows})
 	return r.RowLines, r.OK, err
 }

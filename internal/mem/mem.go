@@ -92,7 +92,9 @@ type Response struct {
 	Lines int
 	// RowLines carries bank-stripe profiling detail: element r is the
 	// number of leading reliable lines of the stripe's r-th row (equal to
-	// the column count when the row passed). Nil for every non-profiling
-	// request — the hot access path never allocates it.
+	// the column count when the row passed). Set only for a stripe request
+	// (Request.Rows > 0); nil for single-row ProfileRow requests and every
+	// other kind, so neither the access path nor a single-row profile
+	// allocates it.
 	RowLines []int
 }

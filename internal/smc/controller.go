@@ -983,9 +983,14 @@ func (c *BaseController) serveProfileRow(env *Env, ent Entry) error {
 	// column) order. Per covered row, count its leading reliable lines (the
 	// per-line path's stop-at-first-failure accounting); the request passes
 	// when every line of every row is reliable. Lines reports the leading
-	// reliable lines of the whole stripe for single-row compatibility.
+	// reliable lines of the whole stripe for single-row compatibility;
+	// per-row counts are built only for a stripe request (Rows > 0), the
+	// only caller that reads them.
 	okLines := 0
-	rowLines := make([]int, rows)
+	var rowLines []int
+	if req.Rows > 0 {
+		rowLines = make([]int, rows)
+	}
 	if len(rb) >= total {
 		stripe := rb[len(rb)-total:]
 		leading := true
@@ -997,7 +1002,9 @@ func (c *BaseController) serveProfileRow(env *Env, ent Entry) error {
 				}
 				cnt++
 			}
-			rowLines[r] = cnt
+			if rowLines != nil {
+				rowLines[r] = cnt
+			}
 			if leading {
 				okLines += cnt
 				if cnt != cols {
