@@ -5,7 +5,8 @@
 //
 //	easydram [-quick] [-seed N] [-burst-cap N] [-channels N] [-ranks N]
 //	         [-cores N] [-faults] [-mitigation P] [-save-profile DIR]
-//	         [-load-profile DIR] [-checkpoint FILE] [-v] <experiment>
+//	         [-load-profile DIR] [-checkpoint FILE] [-cpuprofile FILE] [-v]
+//	         <experiment>
 //
 // where experiment is one of: table1, fig2, validation, fig8, fig10,
 // fig11, fig12, fig13, fig14, energy, ablations, disturb, snapshot,
@@ -16,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 
 	"easydram/internal/experiments"
 	"easydram/internal/workload"
@@ -34,8 +36,9 @@ func main() {
 	saveProfile := flag.String("save-profile", "", "directory to persist characterization profiles to (atomic writes; profiling experiments write one file per workload)")
 	loadProfile := flag.String("load-profile", "", "characterization store directory to warm-start from; missing/corrupt/stale profiles degrade to fresh characterization")
 	checkpoint := flag.String("checkpoint", "", "file the snapshot experiment writes its mid-run system checkpoint to")
+	cpuProfile := flag.String("cpuprofile", "", "write a runtime/pprof CPU profile of the run to this file (read it with go tool pprof)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: easydram [-quick] [-seed N] [-channels N] [-ranks N] [-cores N] [-faults] [-mitigation P] [-save-profile DIR] [-load-profile DIR] [-checkpoint FILE] [-v] <table1|fig2|validation|fig8|fig10|fig11|fig12|fig13|fig14|energy|ablations|disturb|snapshot|fairness|all>\n")
+		fmt.Fprintf(os.Stderr, "usage: easydram [-quick] [-seed N] [-channels N] [-ranks N] [-cores N] [-faults] [-mitigation P] [-save-profile DIR] [-load-profile DIR] [-checkpoint FILE] [-cpuprofile FILE] [-v] <table1|fig2|validation|fig8|fig10|fig11|fig12|fig13|fig14|energy|ablations|disturb|snapshot|fairness|all>\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -61,10 +64,32 @@ func main() {
 	opt.ProfileLoad = *loadProfile
 	opt.CheckpointPath = *checkpoint
 
-	if err := run(flag.Arg(0), opt); err != nil {
+	if err := profiled(*cpuProfile, func() error { return run(flag.Arg(0), opt) }); err != nil {
 		fmt.Fprintf(os.Stderr, "easydram: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// profiled calls fn, under a CPU profile written to path unless path is
+// empty.
+func profiled(path string, fn func() error) error {
+	if path == "" {
+		return fn()
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("cpu profile: %w", err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return fmt.Errorf("cpu profile: %w", err)
+	}
+	err = fn()
+	pprof.StopCPUProfile()
+	if cerr := f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("cpu profile: %w", cerr)
+	}
+	return err
 }
 
 func run(name string, opt experiments.Options) error {

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"easydram/internal/experiments"
@@ -41,5 +43,18 @@ func TestRunWithFaultFlags(t *testing.T) {
 	opt.Verbose = true
 	if err := run("table1", opt); err != nil {
 		t.Fatalf("run(table1) with fault flags: %v", err)
+	}
+}
+
+func TestCPUProfileFlag(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.pprof")
+	if err := profiled(path, func() error { return run("table1", quickOpt()) }); err != nil {
+		t.Fatalf("profiled run: %v", err)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+		t.Fatalf("profile not written: %v", err)
+	}
+	if err := profiled(filepath.Join(t.TempDir(), "missing", "cpu.pprof"), func() error { return nil }); err == nil {
+		t.Fatal("an unwritable profile path must fail")
 	}
 }

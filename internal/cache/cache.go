@@ -31,18 +31,23 @@ func (s *Stats) Add(o Stats) {
 	s.Flushes += o.Flushes
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	// lru is a per-set sequence number; higher = more recently used.
-	lru uint64
-}
+// Way state is packed into one key per way: tag<<2 | dirty<<1 | valid,
+// with zero meaning an invalid way. An 8-way set's keys span one host
+// cache line, so a set scan touches one line; the LRU stamps, needed only
+// on hits and installs, sit in a parallel array.
+const (
+	validBit uint64 = 1
+	dirtyBit uint64 = 2
+)
 
 // Cache is one set-associative cache level. Not safe for concurrent use.
 type Cache struct {
-	name  string
-	sets  []line // sets*assoc lines, set-major
+	name string
+	// keys holds sets*assoc packed way keys, set-major; lru holds each
+	// way's per-set sequence number (higher = more recently used, zero
+	// for an invalid way).
+	keys  []uint64
+	lru   []uint64
 	assoc int
 	// setMask extracts the set index; tagShift strips line-offset and set
 	// bits in one shift (the set count is a power of two, so the tag needs
@@ -71,7 +76,8 @@ func New(name string, sizeBytes, assoc int) (*Cache, error) {
 	shift := uint(6) // log2(LineBytes)
 	return &Cache{
 		name:     name,
-		sets:     make([]line, lines),
+		keys:     make([]uint64, lines),
+		lru:      make([]uint64, lines),
 		assoc:    assoc,
 		setMask:  uint64(setCount - 1),
 		tagShift: shift + uint(bits.TrailingZeros(uint(setCount))),
@@ -87,7 +93,7 @@ func (c *Cache) Name() string { return c.name }
 func (c *Cache) Stats() Stats { return c.stats }
 
 // SizeBytes reports the capacity.
-func (c *Cache) SizeBytes() int { return len(c.sets) * LineBytes }
+func (c *Cache) SizeBytes() int { return len(c.keys) * LineBytes }
 
 func (c *Cache) setOf(addr uint64) int {
 	return int((addr >> c.setShift) & c.setMask)
@@ -101,8 +107,17 @@ func (c *Cache) lineAddr(set int, tag uint64) uint64 {
 	return tag<<c.tagShift | uint64(set)<<c.setShift
 }
 
-func (c *Cache) setSlice(set int) []line {
-	return c.sets[set*c.assoc : (set+1)*c.assoc]
+// find returns the index in keys of the valid way holding addr's line,
+// or -1 on a miss.
+func (c *Cache) find(addr uint64) int {
+	base := c.setOf(addr) * c.assoc
+	want := c.tagOf(addr)<<2 | dirtyBit | validBit
+	for i, k := range c.keys[base : base+c.assoc] {
+		if k|dirtyBit == want {
+			return base + i
+		}
+	}
+	return -1
 }
 
 // Victim describes an eviction produced by Access or Install.
@@ -113,92 +128,80 @@ type Victim struct {
 }
 
 // Lookup reports whether addr hits without changing replacement state.
-func (c *Cache) Lookup(addr uint64) bool {
-	tag := c.tagOf(addr)
-	for _, l := range c.setSlice(c.setOf(addr)) {
-		if l.valid && l.tag == tag {
-			return true
-		}
-	}
-	return false
-}
+func (c *Cache) Lookup(addr uint64) bool { return c.find(addr) >= 0 }
 
 // Access performs a demand access. On hit it updates LRU (and the dirty bit
 // for writes) and returns hit=true. On miss it returns hit=false and does
 // NOT install the line; the caller installs it after the fill completes.
 func (c *Cache) Access(addr uint64, write bool) (hit bool) {
-	tag := c.tagOf(addr)
-	ss := c.setSlice(c.setOf(addr))
-	for i := range ss {
-		if ss[i].valid && ss[i].tag == tag {
-			c.lruClock++
-			ss[i].lru = c.lruClock
-			if write {
-				ss[i].dirty = true
-			}
-			c.stats.Hits++
-			return true
-		}
+	i := c.find(addr)
+	if i < 0 {
+		c.stats.Misses++
+		return false
 	}
-	c.stats.Misses++
-	return false
+	c.lruClock++
+	c.lru[i] = c.lruClock
+	if write {
+		c.keys[i] |= dirtyBit
+	}
+	c.stats.Hits++
+	return true
 }
 
 // Install fills addr into the cache, returning the victim (Valid=false when
 // an empty way was available).
 func (c *Cache) Install(addr uint64, dirty bool) Victim {
-	set, tag := c.setOf(addr), c.tagOf(addr)
-	ss := c.setSlice(set)
-	victimIdx := 0
+	set := c.setOf(addr)
+	base := set * c.assoc
+	victimIdx := base
 	var oldest uint64 = ^uint64(0)
-	for i := range ss {
-		if !ss[i].valid {
+	for i := base; i < base+c.assoc; i++ {
+		if c.keys[i] == 0 {
 			victimIdx = i
-			oldest = 0
 			break
 		}
-		if ss[i].lru < oldest {
-			oldest = ss[i].lru
+		if c.lru[i] < oldest {
+			oldest = c.lru[i]
 			victimIdx = i
 		}
 	}
 	v := Victim{}
-	if ss[victimIdx].valid {
-		v = Victim{Addr: c.lineAddr(set, ss[victimIdx].tag), Dirty: ss[victimIdx].dirty, Valid: true}
+	if k := c.keys[victimIdx]; k != 0 {
+		v = Victim{Addr: c.lineAddr(set, k>>2), Dirty: k&dirtyBit != 0, Valid: true}
 		c.stats.Evictions++
 		if v.Dirty {
 			c.stats.Writebacks++
 		}
 	}
+	key := c.tagOf(addr)<<2 | validBit
+	if dirty {
+		key |= dirtyBit
+	}
 	c.lruClock++
-	ss[victimIdx] = line{tag: tag, valid: true, dirty: dirty, lru: c.lruClock}
+	c.keys[victimIdx] = key
+	c.lru[victimIdx] = c.lruClock
 	return v
 }
 
 // Flush removes addr from the cache if present, reporting whether it was
 // present and dirty.
 func (c *Cache) Flush(addr uint64) (present, dirty bool) {
-	tag := c.tagOf(addr)
-	ss := c.setSlice(c.setOf(addr))
-	for i := range ss {
-		if ss[i].valid && ss[i].tag == tag {
-			present, dirty = true, ss[i].dirty
-			ss[i] = line{}
-			c.stats.Flushes++
-			return present, dirty
-		}
+	i := c.find(addr)
+	if i < 0 {
+		return false, false
 	}
-	return false, false
+	dirty = c.keys[i]&dirtyBit != 0
+	c.keys[i], c.lru[i] = 0, 0
+	c.stats.Flushes++
+	return true, dirty
 }
 
 // DirtyLines returns the addresses of all dirty lines (drain support).
 func (c *Cache) DirtyLines() []uint64 {
 	var out []uint64
-	for set := 0; set < c.setCount; set++ {
-		for _, l := range c.setSlice(set) {
-			if l.valid && l.dirty {
-				out = append(out, c.lineAddr(set, l.tag))
-			}
+	for i, k := range c.keys {
+		if k&(dirtyBit|validBit) == dirtyBit|validBit {
+			out = append(out, c.lineAddr(i/c.assoc, k>>2))
 		}
 	}
 	return out
@@ -206,9 +209,8 @@ func (c *Cache) DirtyLines() []uint64 {
 
 // Reset invalidates every line and clears statistics.
 func (c *Cache) Reset() {
-	for i := range c.sets {
-		c.sets[i] = line{}
-	}
+	clear(c.keys)
+	clear(c.lru)
 	c.stats = Stats{}
 	c.lruClock = 0
 }

@@ -12,6 +12,7 @@ package cpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"easydram/internal/cache"
 	"easydram/internal/clock"
@@ -211,6 +212,10 @@ type Core struct {
 	reqScratch []mem.Request
 	stats      Stats
 
+	// widthShift is log2(IssueWidth) when the width is a power of two
+	// (every preset: 1, 2, 4), else -1; see retireCycles.
+	widthShift int
+
 	// opsConsumed counts ops pulled from the stream, the replay position a
 	// checkpoint restore fast-forwards a rebuilt stream to (see state.go).
 	opsConsumed uint64
@@ -227,7 +232,11 @@ func New(cfg Config, hier CacheView, strm workload.Stream) (*Core, error) {
 	if strm == nil {
 		return nil, fmt.Errorf("cpu %s: nil op stream", cfg.Name)
 	}
-	return &Core{cfg: cfg, hier: hier, strm: strm, nextID: 1, idStride: 1}, nil
+	c := &Core{cfg: cfg, hier: hier, strm: strm, nextID: 1, idStride: 1, widthShift: -1}
+	if w := cfg.IssueWidth; w&(w-1) == 0 {
+		c.widthShift = bits.TrailingZeros(uint(w))
+	}
+	return c, nil
 }
 
 // SetIDSpace places the core's request IDs on an interleaved-dense lattice:
@@ -272,6 +281,24 @@ func (c *Core) newID() uint64 {
 	id := c.nextID
 	c.nextID += c.idStride
 	return id
+}
+
+// retireCycles is the cycles a compute op of n instructions takes to
+// retire: ceil(n/IssueWidth), at least 1. A power-of-two width shifts
+// instead of dividing; the shift rounds negative n differently, so those
+// (never emitted by a Gen) keep the divide.
+func (c *Core) retireCycles(n int64) clock.Cycles {
+	var r int64
+	if c.widthShift >= 0 && n >= 0 {
+		r = (n + 1<<c.widthShift - 1) >> c.widthShift
+	} else {
+		w := int64(c.cfg.IssueWidth)
+		r = (n + w - 1) / w
+	}
+	if r == 0 {
+		r = 1
+	}
+	return clock.Cycles(r)
 }
 
 // maxBatchCycles bounds one Step call's internal batch. Returning early
@@ -337,11 +364,7 @@ func (c *Core) Step(now clock.Cycles, budget clock.Cycles) Outcome {
 			c.opsConsumed++
 			c.opValid = true
 			if c.op.Kind == workload.OpCompute {
-				w := clock.Cycles(c.cfg.IssueWidth)
-				c.computeRemaining = (clock.Cycles(c.op.N) + w - 1) / w
-				if c.computeRemaining == 0 {
-					c.computeRemaining = 1
-				}
+				c.computeRemaining = c.retireCycles(c.op.N)
 				c.stats.Instructions += c.op.N
 				c.stats.ComputeCycles += int64(c.computeRemaining)
 			}

@@ -61,6 +61,26 @@ func TestComputeRespectsBudgetAndWidth(t *testing.T) {
 	if c.Stats().Instructions != 100 {
 		t.Fatalf("instructions = %d", c.Stats().Instructions)
 	}
+
+	// Retire cycles are ceil(N/width): power-of-two widths shift, width 3
+	// takes the divide.
+	for _, w := range []int{1, 2, 3, 4} {
+		for _, n := range []int64{1, 2, 3, 4, 5, 7, 8, 99, 100, 4097} {
+			cfg := CortexA57()
+			cfg.IssueWidth = w
+			c := newTestCore(t, cfg, []workload.Op{{Kind: workload.OpCompute, N: n}})
+			want := n / int64(w)
+			if n%int64(w) != 0 {
+				want++
+			}
+			if out := c.Step(0, 0); out.Cycles != clock.Cycles(want) {
+				t.Errorf("width %d, N %d: step consumed %d cycles, want %d", w, n, out.Cycles, want)
+			}
+			if got := c.Stats().ComputeCycles; got != want {
+				t.Errorf("width %d, N %d: ComputeCycles = %d, want %d", w, n, got, want)
+			}
+		}
+	}
 }
 
 func TestInOrderBlocksOnMiss(t *testing.T) {

@@ -61,14 +61,19 @@ func (k OpKind) String() string {
 }
 
 // Op is one processor operation.
+//
+// The field order is a size property: the two 1-byte fields sit last so
+// they share one padding word, which keeps an Op at 32 bytes (40 with Kind
+// first). Every Op literal in the repository is keyed, so the order is
+// free to change.
 type Op struct {
-	Kind OpKind
 	// N is the instruction count for OpCompute.
 	N int64
 	// Addr is the target byte address (load/store/flush/rowclone dest).
 	Addr uint64
 	// Src is the RowClone source address.
-	Src uint64
+	Src  uint64
+	Kind OpKind
 	// Dep marks an operation whose address depends on the most recent
 	// load's value (pointer chase); it cannot issue until that load
 	// completes.
@@ -94,11 +99,32 @@ type Kernel struct {
 // Stream starts the kernel body and returns its op stream.
 func (k Kernel) Stream() Stream { return newGoStream(k.Body) }
 
-// Gen is the emission context handed to kernel bodies.
+// Gen is the emission context handed to kernel bodies. Each op is written
+// field by field straight into the slab being filled: no Op value is built
+// and copied per op.
 type Gen struct {
-	emit func(Op)
+	// ops is the slab being filled; full hands it on once it is at
+	// capacity and returns the empty slab to fill next.
+	ops  []Op
+	full func(ops []Op) []Op
 	// pendingCompute coalesces consecutive Compute emissions.
 	pendingCompute int64
+}
+
+// put appends one op to the slab. Every field is stored, because a
+// recycled slab still holds the ops of an earlier stream.
+func (g *Gen) put(kind OpKind, n int64, addr, src uint64, dep bool) {
+	if len(g.ops) == cap(g.ops) {
+		g.ops = g.full(g.ops)
+	}
+	i := len(g.ops)
+	g.ops = g.ops[:i+1]
+	op := &g.ops[i]
+	op.Kind = kind
+	op.N = n
+	op.Addr = addr
+	op.Src = src
+	op.Dep = dep
 }
 
 // Compute emits n instructions of non-memory work (coalesced).
@@ -110,7 +136,7 @@ func (g *Gen) Compute(n int64) {
 
 func (g *Gen) flushCompute() {
 	if g.pendingCompute > 0 {
-		g.emit(Op{Kind: OpCompute, N: g.pendingCompute})
+		g.put(OpCompute, g.pendingCompute, 0, 0, false)
 		g.pendingCompute = 0
 	}
 }
@@ -118,55 +144,65 @@ func (g *Gen) flushCompute() {
 // Load emits a load of addr.
 func (g *Gen) Load(addr uint64) {
 	g.flushCompute()
-	g.emit(Op{Kind: OpLoad, Addr: addr})
+	g.put(OpLoad, 0, addr, 0, false)
 }
 
 // LoadDep emits a load whose address depends on the previous load.
 func (g *Gen) LoadDep(addr uint64) {
 	g.flushCompute()
-	g.emit(Op{Kind: OpLoad, Addr: addr, Dep: true})
+	g.put(OpLoad, 0, addr, 0, true)
 }
 
 // Store emits a store to addr.
 func (g *Gen) Store(addr uint64) {
 	g.flushCompute()
-	g.emit(Op{Kind: OpStore, Addr: addr})
+	g.put(OpStore, 0, addr, 0, false)
 }
 
 // Flush emits a cache-line flush of addr.
 func (g *Gen) Flush(addr uint64) {
 	g.flushCompute()
-	g.emit(Op{Kind: OpFlush, Addr: addr})
+	g.put(OpFlush, 0, addr, 0, false)
 }
 
 // RowClone emits an in-DRAM copy of the row at src to the row at dst.
 func (g *Gen) RowClone(src, dst uint64) {
 	g.flushCompute()
-	g.emit(Op{Kind: OpRowClone, Addr: dst, Src: src})
+	g.put(OpRowClone, 0, dst, src, false)
 }
 
 // Barrier emits a full memory barrier.
 func (g *Gen) Barrier() {
 	g.flushCompute()
-	g.emit(Op{Kind: OpBarrier})
+	g.put(OpBarrier, 0, 0, 0, false)
 }
 
 // Mark emits a measurement-window boundary (implies a barrier first, so a
 // window never charges work from outside it).
 func (g *Gen) Mark() {
 	g.Barrier()
-	g.emit(Op{Kind: OpMark})
+	g.put(OpMark, 0, 0, 0, false)
 }
 
 // slabSize is the op batch size moved per channel operation.
 const slabSize = 4096
 
-// goStream runs a kernel body in a goroutine and streams op slabs. Spent
-// slabs are recycled back to the producer through the free channel, so a
-// steady-state stream allocates no new slabs after the pipeline fills.
+// slabPool recycles op slabs across streams: a validation pass opens a
+// fresh stream per system run, and each would otherwise allocate its own
+// slabs.
+var slabPool = sync.Pool{New: func() any { return new([slabSize]Op) }}
+
+func getSlab() []Op { return slabPool.Get().(*[slabSize]Op)[:0] }
+
+func putSlab(ops []Op) { slabPool.Put((*[slabSize]Op)(ops[:slabSize])) }
+
+// goStream runs a kernel body in a goroutine and streams op slabs. Each
+// slab has one owner at a time — the producer while it fills, the channel
+// in transit, the consumer while it reads — and the owner that is done
+// with it returns it to slabPool, so a steady-state stream allocates no
+// slabs.
 type goStream struct {
 	ch   chan []Op
-	free chan []Op
 	stop chan struct{}
 	buf  []Op
 	idx  int
@@ -182,48 +218,38 @@ type goStream struct {
 func newGoStream(body func(*Gen)) *goStream {
 	s := &goStream{
 		ch:   make(chan []Op, 2),
-		free: make(chan []Op, 2),
 		stop: make(chan struct{}),
 	}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		defer close(s.ch)
-		nextSlab := func() []Op {
-			select {
-			case slab := <-s.free:
-				return slab
-			default:
-				return make([]Op, 0, slabSize)
-			}
-		}
-		slab := nextSlab()
 		aborted := false
-		g := &Gen{emit: func(op Op) {
-			if aborted {
-				return
-			}
-			slab = append(slab, op)
-			if len(slab) == slabSize {
+		g := &Gen{ops: getSlab(), full: func(ops []Op) []Op {
+			if !aborted {
 				select {
-				case s.ch <- slab:
-					slab = nextSlab()
+				case s.ch <- ops:
+					return getSlab()
 				case <-s.stop:
 					aborted = true
 				}
 			}
+			// Aborted: the body runs to its end, refilling one
+			// discarded slab.
+			return ops[:0]
 		}}
 		body(g)
-		if aborted {
-			return
-		}
-		g.flushCompute()
-		if len(slab) > 0 {
-			select {
-			case s.ch <- slab:
-			case <-s.stop:
+		if !aborted {
+			g.flushCompute()
+			if len(g.ops) > 0 {
+				select {
+				case s.ch <- g.ops:
+					return
+				case <-s.stop:
+				}
 			}
 		}
+		putSlab(g.ops)
 	}()
 	return s
 }
@@ -233,13 +259,11 @@ func (s *goStream) Next(op *Op) bool {
 		return false
 	}
 	if s.idx >= len(s.buf) {
-		// Recycle the spent slab before blocking on the next one; the
-		// consumer never touches it again.
-		if cap(s.buf) == slabSize {
-			select {
-			case s.free <- s.buf[:0]:
-			default:
-			}
+		// Recycle the spent slab before blocking on the next one, and
+		// drop the reference: Close must not return it a second time.
+		if s.buf != nil {
+			putSlab(s.buf)
+			s.buf = nil
 		}
 		slab, ok := <-s.ch
 		if !ok {
@@ -256,10 +280,16 @@ func (s *goStream) Next(op *Op) bool {
 func (s *goStream) Close() {
 	s.stopOnce.Do(func() {
 		close(s.stop)
-		// Drain so the producer unblocks and exits.
-		for range s.ch {
+		// Drain so the producer unblocks and exits, recycling what it
+		// had sent.
+		for slab := range s.ch {
+			putSlab(slab)
 		}
 		s.wg.Wait()
+		if s.buf != nil {
+			putSlab(s.buf)
+			s.buf = nil
+		}
 	})
 	s.done = true
 }

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -97,6 +99,91 @@ func TestStreamCloseMidway(t *testing.T) {
 	s.Close() // must unblock and stop the producer goroutine
 	if s.Next(&op) {
 		t.Fatalf("closed stream must not produce")
+	}
+}
+
+// emitDirect runs k's body into one growing slice, with no stream or slab
+// recycling in between.
+func emitDirect(k Kernel) []Op {
+	var all []Op
+	g := &Gen{ops: make([]Op, 0, 64)}
+	g.full = func(ops []Op) []Op {
+		all = append(all, ops...)
+		return ops[:0]
+	}
+	k.Body(g)
+	g.flushCompute()
+	return append(all, g.ops...)
+}
+
+// TestStreamsNeverShareSlabs opens many streams at once from concurrent
+// goroutines, ending each in one of three ways, so slabs recycle through
+// the pool while other streams fill theirs. A slab returned to the pool
+// twice would be filled by two producers at once and corrupt both.
+func TestStreamsNeverShareSlabs(t *testing.T) {
+	kernel := func(seed uint64) Kernel {
+		return Kernel{Name: "mix", Body: func(g *Gen) {
+			x := seed
+			for i := 0; i < 3*slabSize+int(seed%977); i++ {
+				x = x*6364136223846793005 + 1442695040888963407
+				switch x >> 61 {
+				case 0:
+					g.Compute(int64(x>>40) + 1)
+				case 1:
+					g.LoadDep(x >> 20)
+				case 2:
+					g.Store(x >> 20)
+				case 3:
+					g.RowClone(x>>30, x>>20)
+				case 4:
+					g.Mark()
+				default:
+					g.Load(x >> 20)
+				}
+			}
+		}}
+	}
+	const workers, perWorker = 8, 12
+	var wg sync.WaitGroup
+	errs := make(chan error, workers*perWorker)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				seed := uint64(w*perWorker + i + 1)
+				k := kernel(seed)
+				want := emitDirect(k)
+				s := k.Stream()
+				var n int
+				switch i % 3 {
+				case 0: // drained to the end
+					n = len(want)
+				case 1: // closed mid-way, past the first slab
+					n = slabSize + int(seed%slabSize)
+				}
+				var op Op
+				for j := 0; j < n; j++ {
+					if !s.Next(&op) {
+						errs <- fmt.Errorf("seed %d: stream ended after %d ops, want %d", seed, j, len(want))
+						break
+					}
+					if op != want[j] {
+						errs <- fmt.Errorf("seed %d: op %d = %+v, want %+v", seed, j, op, want[j])
+						break
+					}
+				}
+				if n == len(want) && s.Next(&op) {
+					errs <- fmt.Errorf("seed %d: stream runs past %d ops", seed, len(want))
+				}
+				s.Close()
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 
