@@ -1,9 +1,8 @@
 package core
 
 import (
-	"math"
-
 	"easydram/internal/clock"
+	"easydram/internal/smc"
 )
 
 // Row-hit burst service: engine-side gating.
@@ -13,7 +12,7 @@ import (
 // when doing so is bit-identical to serving them one step at a time. The
 // controller charges per-request modeled costs exactly as serial service
 // would; what it cannot see is the engine state that would have let the
-// outside world interleave between serial steps. The gates below encode
+// outside world interleave between serial steps. The gate below encodes
 // exactly those conditions, one per engine phase:
 //
 //   - blocked: the processor waits on one request. Serial service stops
@@ -22,37 +21,38 @@ import (
 //     cut immediately after serving blockedOn.
 //   - fencing / draining: the processor issues nothing until everything
 //     completes; bursts extend freely.
-//   - stalled (scaled only): the processor could run once the MC counter
-//     passes its cycle. Serial service would hand control back to the
-//     processor after any step that lifts MC above Proc, so a burst may
+//   - stalled (time scaling only): the processor could run once the MC
+//     counter passes its cycle. Serial service would hand control back to
+//     the processor after any step that lifts MC above Proc, so a burst may
 //     only extend while its projected MC stays at or below Proc.
 //
-// In the unscaled engine, issued requests carry wall-clock arrival times
+// Without time scaling, issued requests carry wall-clock arrival times
 // and are staged until the SMC's decision point reaches them. A serial
 // step sequence would ingest a staged request before the step whose
 // decision point (the previous step's completion) reaches its arrival —
 // changing table sizes, scheduling charges, and possibly the pick — so a
 // burst must stop before its service chain's completion reaches the next
-// staged arrival (burstLimit).
+// staged arrival.
 //
 // Refresh: serial service re-checks the refresh horizon before every step
-// (settleRefreshes*: a REF fires iff it is due by max(service point,
-// earliest live arrival)). The gates replay exactly that check against the
+// (settleRefreshes: a REF fires iff it is due by max(service point,
+// earliest live arrival)). The gate replays exactly that check against the
 // projected service chain and the earliest arrival still unserved mid-step,
 // and cut the burst before any REF would fall due — so refresh-on
 // configurations burst too, and the engine settles the REF between serial
 // steps exactly where serial service would have.
 //
-// All projections are per channel: a multi-channel engine steps one
+// The projection is per channel: a multi-channel engine steps one
 // channel's controller at a time — each channel's Env carries a gate
 // closure bound to its channel index — and each channel owns an
-// independent service chain.
+// independent service chain, which the clock policy defines (the modeled
+// MC chain under time scaling, the SMC's wall busy chain without).
 
 // burstPhase identifies the engine state an SMC step runs under.
 type burstPhase uint8
 
 const (
-	// burstPhaseStall: scaled engine, processor runnable but out of
+	// burstPhaseStall: time scaling, processor runnable but out of
 	// allowance (MC <= Proc).
 	burstPhaseStall burstPhase = iota
 	// burstPhaseBlocked: processor blocked on one request's response.
@@ -63,15 +63,11 @@ const (
 	burstPhaseDrain
 )
 
-// burstBudget reports the burst budget for the current step.
-func (e *engine) burstBudget() int { return e.burstCap }
-
-// mayExtendBurstScaled is the scaled engine's burst gate for channel ch: it
-// is consulted by the controller after each served request, before
-// appending the next.
-func (e *engine) mayExtendBurstScaled(ch int) bool {
-	env := e.sys.chans[ch].env
-	resp := env.Responses()
+// mayExtendBurst is the burst gate for channel ch: the controller consults
+// it after each served request, before appending the next.
+func (e *engine) mayExtendBurst(ch int) bool {
+	c := &e.sys.chans[ch]
+	resp := c.env.Responses()
 	if len(resp) == 0 {
 		return false
 	}
@@ -79,112 +75,56 @@ func (e *engine) mayExtendBurstScaled(ch int) bool {
 	if e.blockedOn != 0 && resp[len(resp)-1].ReqID == e.blockedOn {
 		return false
 	}
-	if e.burstPhase == burstPhaseStall {
-		// The processor regains allowance as soon as MC exceeds Proc;
-		// serial service would let it run (and possibly issue requests that
-		// change the next step's table) before serving more.
-		if e.projectedMC(ch) > e.ts.Proc() {
-			return false
-		}
+	// The decision point the next serial step would start from.
+	next := e.keys.floor(e.projectedChain(ch))
+	// A stalled processor regains allowance as soon as MC passes Proc;
+	// serial service would let it run (and possibly issue requests that
+	// change the next step's table) before serving more.
+	if e.burstPhase == burstPhaseStall && next > e.clk.now() {
+		return false
 	}
-	if e.sys.chans[ch].ctl.RefreshEnabled() {
+	if c.ctl.RefreshEnabled() {
 		// Replay the next serial step's refresh-horizon check: a REF due by
 		// max(projected service point, earliest unserved arrival) would
 		// fire before that step, so the burst must cut here and let the
 		// engine settle it.
-		due := e.sys.chans[ch].ctl.NextRefreshDue()
-		horizon := e.cfg.CPU.Clock.ToTime(e.projectedMC(ch))
+		horizon := e.keys.time(next)
 		if arr, ok := e.earliestUnservedArrival(ch); ok {
-			if t := e.cfg.CPU.Clock.ToTime(clock.Cycles(arr)); t > horizon {
-				horizon = t
-			}
+			horizon = max(horizon, e.keys.time(arr))
 		}
-		if due <= horizon {
+		if c.ctl.NextRefreshDue() <= horizon {
+			return false
+		}
+	}
+	// Serial service would ingest the next staged request before the step
+	// whose decision point reaches its arrival. (Nothing is staged or
+	// ingested during a step, so the head is the one ingest left.)
+	if staged := e.staged[ch]; len(staged) > 0 {
+		if p, ok := e.inflight[ch].Get(staged[0].id); ok && next >= p.arrival {
 			return false
 		}
 	}
 	return true
 }
 
-// projectedMC replays the ServeModeled chain of channel ch's closed
-// segments on top of its live MC service point, without mutating the
-// counters, and returns the MC cycle the chain would reach.
-func (e *engine) projectedMC(ch int) clock.Cycles {
+// projectedChain replays channel ch's service chain over the step's closed
+// segments on top of its live service point, without mutating anything:
+// per segment, start at max(chain, the served request's arrival) and
+// occupy for the segment's chain-occupying SMC time plus its modeled
+// occupancy.
+func (e *engine) projectedChain(ch int) clock.PS {
 	env := e.sys.chans[ch].env
-	chain := e.mcTimeOf(ch)
 	resp := env.Responses()
-	var prevOcc clock.PS
-	prevResp := 0
+	chain := e.chain[ch]
+	var prev smc.Segment
 	for _, s := range env.Segments() {
-		occ := s.Occupancy - prevOcc
-		// One response per segment; its arrival tag lower-bounds the start.
-		if s.Responses > prevResp {
+		if s.Responses > prev.Responses {
 			if p, ok := e.inflight[ch].Get(resp[s.Responses-1].ReqID); ok {
-				if t := e.ts.ProcEmul.ToTime(p.tag); t > chain {
-					chain = t
-				}
+				chain = max(chain, e.keys.time(p.arrival))
 			}
 		}
-		chain += occ
-		prevOcc, prevResp = s.Occupancy, s.Responses
+		chain += e.clk.smcOccupancy(s.Charged-prev.Charged) + s.Occupancy - prev.Occupancy
+		prev = s
 	}
-	return e.ts.ProcEmul.CyclesFloor(chain)
-}
-
-// mayExtendBurstUnscaled is the unscaled engine's burst gate for channel ch.
-func (e *engine) mayExtendBurstUnscaled(ch int) bool {
-	env := e.sys.chans[ch].env
-	resp := env.Responses()
-	if len(resp) == 0 {
-		return false
-	}
-	if e.blockedOn != 0 && resp[len(resp)-1].ReqID == e.blockedOn {
-		return false
-	}
-	if e.sys.chans[ch].ctl.RefreshEnabled() {
-		// Same refresh-horizon replay as the scaled gate, in wall time.
-		due := e.sys.chans[ch].ctl.NextRefreshDue()
-		horizon := e.projectedCompletion(ch)
-		if arr, ok := e.earliestUnservedArrival(ch); ok && clock.PS(arr) > horizon {
-			horizon = clock.PS(arr)
-		}
-		if due <= horizon {
-			return false
-		}
-	}
-	if e.burstLimit[ch] == math.MaxInt64 {
-		return true
-	}
-	// Serial service would ingest the next staged request before the step
-	// whose decision point reaches its arrival; the decision point after
-	// the closed segments is their chained completion.
-	return int64(e.projectedCompletion(ch)) < e.burstLimit[ch]
-}
-
-// projectedCompletion replays the unscaled service chain of channel ch's
-// closed segments: per segment, start at max(the channel's SMC free point,
-// the served request's arrival), occupy for the charged SMC cycles (zero
-// under HardwareMC) plus the modeled occupancy.
-func (e *engine) projectedCompletion(ch int) clock.PS {
-	env := e.sys.chans[ch].env
-	resp := env.Responses()
-	free := e.chanFree[ch]
-	var prevCharged int64
-	var prevOcc clock.PS
-	prevResp := 0
-	for _, s := range env.Segments() {
-		start := free
-		if s.Responses > prevResp {
-			if p, ok := e.inflight[ch].Get(resp[s.Responses-1].ReqID); ok && p.arrival > start {
-				start = p.arrival
-			}
-		}
-		var smcOcc clock.PS
-		if !e.cfg.HardwareMC {
-			smcOcc = clock.PS(s.Charged-prevCharged) * e.cfg.FPGA.Period()
-		}
-		free = start + smcOcc + (s.Occupancy - prevOcc)
-		prevCharged, prevOcc, prevResp = s.Charged, s.Occupancy, s.Responses
-	}
-	return free
+	return chain
 }

@@ -104,19 +104,7 @@ func (e *engine) capture() {
 	var eng snapshot.Enc
 	eng.Bool(e.cfg.Scaling)
 	eng.Int(len(e.sys.chans))
-	if e.cfg.Scaling {
-		e.ts.SaveState(&eng)
-	} else {
-		eng.I64(int64(e.wallNow))
-		eng.I64(int64(e.maxWall))
-	}
-	for _, v := range e.chanFree {
-		eng.I64(int64(v))
-	}
-	for _, v := range e.chanMC {
-		eng.I64(int64(v))
-	}
-	eng.I64(int64(e.maxRelease))
+	e.clk.save(&eng)
 	eng.Int(len(e.marks))
 	for _, m := range e.marks {
 		eng.I64(int64(m))
@@ -170,19 +158,7 @@ func (e *engine) loadCheckpoint() error {
 	if d.Err() != nil {
 		return d.Err()
 	}
-	if e.cfg.Scaling {
-		e.ts.LoadState(d)
-	} else {
-		e.wallNow = clock.PS(d.I64())
-		e.maxWall = clock.PS(d.I64())
-	}
-	for i := range e.chanFree {
-		e.chanFree[i] = clock.PS(d.I64())
-	}
-	for i := range e.chanMC {
-		e.chanMC[i] = clock.PS(d.I64())
-	}
-	e.maxRelease = clock.Cycles(d.I64())
+	e.clk.load(d)
 	nMarks := d.Int()
 	if d.Err() == nil && (nMarks < 0 || nMarks > d.Remaining()/8) {
 		d.Fail(snapshot.ErrTruncated)

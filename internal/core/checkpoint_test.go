@@ -12,7 +12,7 @@ import (
 )
 
 // checkpointMatrix is the configuration sweep the bit-identity guarantee is
-// pinned over: both engines, multi-channel/multi-rank topologies, refresh,
+// pinned over: both clock modes, multi-channel/multi-rank topologies, refresh,
 // burst service, a stateful scheduler, and full fault injection with
 // mitigation — every subsystem with checkpointable state.
 func checkpointMatrix() []struct {

@@ -16,7 +16,12 @@
 // The engine also runs in two non-scaled modes: the raw software-MC mode
 // (PiDRAM-style, the paper's "EasyDRAM - No Time Scaling"), in which the
 // SMC's real latency is visible to the processor; and the hardware-MC
-// reference mode used to validate time scaling (§6).
+// reference mode used to validate time scaling (§6). Every mode runs the
+// same loops — one single-core loop (engine.go) and one multi-core merge
+// (multicore.go) over one channel step — and a clock policy
+// (clockpolicy.go) supplies what differs: the event-key domain, the
+// service math of one served request, the fence point, and how an issued
+// request becomes visible to its controller.
 //
 // # Event-queue architecture
 //
@@ -28,8 +33,8 @@
 // requests additionally sit in an issue-order FIFO of arrival keys
 // (arrivalRing); arrivals are monotone, so the earliest live arrival — the
 // refresh accounting horizon — is read off the head in amortised O(1). See
-// events.go. Both engines (scaled and unscaled) share the structures; only
-// the key domain differs (processor cycles vs wall picoseconds).
+// events.go. Both clock modes share the structures; only the key domain
+// differs (processor cycles vs wall picoseconds).
 package core
 
 import (
@@ -43,7 +48,6 @@ import (
 	"easydram/internal/smc"
 	"easydram/internal/snapshot"
 	"easydram/internal/tile"
-	"easydram/internal/timescale"
 	"easydram/internal/workload"
 )
 
@@ -93,7 +97,7 @@ type Config struct {
 	BurstCap int
 
 	// Cores selects the number of emulated host cores. 0 or 1 models the
-	// paper's single-core host through the unchanged engine (bit-identical
+	// paper's single-core host through the single-core loop (bit-identical
 	// to the pre-multicore engine, golden-pinned). Above 1, the system
 	// models N cores with private L1s behind a shared L2 competing for the
 	// per-channel controllers; runs take one workload stream per core via
@@ -395,15 +399,12 @@ func (s *System) chanIndex(pa uint64) int {
 // channel env they stepped.
 type pending struct {
 	posted bool
-	// arrival is the wall time of issue (non-scaled modes).
-	arrival clock.PS
-	// tag is the processor cycle count at issue (scaled mode).
-	tag clock.Cycles
+	// arrival is the request's arrival event key (keyDomain).
+	arrival int64
 }
 
-// stagedReq is one issued-but-not-arrived request in the unscaled engine:
-// its slot in the tile's request slab plus its ID (arrival time lives in
-// the in-flight table).
+// stagedReq is one issued-but-not-arrived request: its slot in the tile's
+// request slab plus its ID (its arrival lives in the in-flight table).
 type stagedReq struct {
 	slot tile.ReqSlot
 	id   uint64
@@ -449,96 +450,102 @@ func (s *System) run(strm workload.Stream, ck *ckptReq, restore *snapshot.Reader
 	if err != nil {
 		return Result{}, fmt.Errorf("core: %w", err)
 	}
-	nch := len(s.chans)
-	e := &engine{
-		cfg:           s.cfg,
-		sys:           s,
-		core:          core,
-		inflight:      make([]slotRing, nch),
-		ready:         newReleaseQueue(),
-		trackArrivals: s.cfg.RefreshEnabled,
-		burstCap:      1,
-		chanFree:      make([]clock.PS, nch),
-		chanMC:        make([]clock.PS, nch),
-		arrivals:      make([]arrivalRing, nch),
-		staged:        make([][]stagedReq, nch),
-		burstLimit:    make([]int64, nch),
-		ckpt:          ck,
-		restore:       restore,
+	e, err := s.newEngine(nil)
+	if err != nil {
+		return Result{}, err
 	}
-	for i := range e.inflight {
-		e.inflight[i] = newSlotRing()
-	}
+	e.core = core
+	e.ckpt, e.restore = ck, restore
 	if s.cfg.BurstCap > 1 {
-		// With refresh enabled the burst gates replay the per-step
-		// refresh-horizon check and cut the burst before a REF falls due
+		// With refresh enabled the burst gate replays the per-step
+		// refresh-horizon check and cuts the burst before a REF falls due
 		// (see burst.go), so the cap engages in every configuration.
+		// Multi-core runs keep the serial setting.
 		e.burstCap = s.cfg.BurstCap
 	}
-	if s.cfg.Scaling {
-		err = e.runScaled()
-	} else {
-		err = e.runUnscaled()
-	}
-	if err != nil {
+	if err := e.runSingle(); err != nil {
 		return Result{}, err
 	}
 	return e.result(), nil
 }
 
-type engine struct {
-	cfg  Config
-	sys  *System
-	core *cpu.Core
+// newEngine assembles the engine state shared by the single-core loop and
+// the multi-core merge (multi non-nil), and binds each channel's burst
+// gate.
+func (s *System) newEngine(multi *mcEngine) (*engine, error) {
+	nch := len(s.chans)
+	chain := make([]clock.PS, nch)
+	clk, keys, err := newClock(s.cfg, chain, multi == nil)
+	if err != nil {
+		return nil, err
+	}
+	e := &engine{
+		cfg:           s.cfg,
+		sys:           s,
+		hostCore:      hostCore{ready: newReleaseQueue()},
+		multi:         multi,
+		clk:           clk,
+		keys:          keys,
+		chain:         chain,
+		inflight:      make([]slotRing, nch),
+		arrivals:      make([]arrivalRing, nch),
+		trackArrivals: s.cfg.RefreshEnabled,
+		staged:        make([][]stagedReq, nch),
+		lastArrival:   make([]int64, nch),
+		burstCap:      1,
+	}
+	for i := range e.inflight {
+		e.inflight[i] = newSlotRing()
+	}
+	for c := range s.chans {
+		s.chans[c].env.SetBurst(1, func() bool { return e.mayExtendBurst(c) })
+	}
+	return e, nil
+}
 
-	// multi, when non-nil, marks a multi-core run: core is nil, the merge
-	// loops in multicore.go drive the channels, and the settle paths route
-	// responses to per-core queues instead of ready. See multicore.go.
+// engine is one run's state. The loops (engine.go, multicore.go) are
+// shared by both emulation modes; clk and keys carry what differs between
+// them (clockpolicy.go).
+type engine struct {
+	cfg Config
+	sys *System
+
+	// hostCore is the single-core run's core and delivery state: responses
+	// keyed by release point, the blocked-on request, the pending fence,
+	// and OpMark cycles. In a merge run its core is nil and its queue
+	// stays empty; each mcCore carries its own.
+	hostCore
+	// multi, when non-nil, marks a multi-core run driven by the merge loop
+	// (multicore.go); the settle path routes responses to per-core queues.
 	multi *mcEngine
 
-	ts *timescale.Counters
-
-	// Non-scaled mode wall clock (picoseconds).
-	wallNow clock.PS
-	// chanFree is each channel's SMC-free point (non-scaled modes): the
-	// channels are independent serial resources, so their busy chains
-	// advance separately and service overlaps in wall time.
-	chanFree []clock.PS
-	// chanMC is each channel's modeled-MC service chain (scaled mode,
-	// multi-channel only; with one channel the ts counters carry it). The
-	// global MC counter is kept at the maximum over channels.
-	chanMC []clock.PS
+	clk  *clockPolicy
+	keys keyDomain
+	// chain is each channel's service point: when its controller is next
+	// free to start a service. The clock policy's serve advances it (the
+	// modeled-MC chain under time scaling, the SMC's wall busy chain
+	// without); the loops read it to order and time channel steps.
+	chain []clock.PS
 
 	// inflight tracks outstanding requests in dense slot rings indexed by
 	// request ID (IDs are sequential, so indexing replaces hashing), one
 	// ring per owning channel.
 	inflight []slotRing
 	// arrivals mirrors inflight in issue order, one ring per channel
-	// (monotone arrival keys: processor-cycle tags when scaling, wall
-	// picoseconds otherwise); the head yields the channel's earliest live
+	// (monotone arrival keys); the head yields the channel's earliest live
 	// arrival in amortised O(1). It feeds the refresh accounting horizon
 	// only, so it is maintained (trackArrivals) only when refresh is
 	// enabled.
 	arrivals      []arrivalRing
 	trackArrivals bool
-	// ready holds produced responses keyed by their release point:
-	// processor cycles when scaling, wall picoseconds otherwise.
-	ready releaseQueue
 	// staged holds issued requests not yet visible to their channel's
-	// controller (non-scaled mode): the SMC only observes requests that
-	// have arrived by its next decision point, mirroring the scaled
-	// engine's gating. Request bytes already live in the tile's slab;
-	// staged carries slots, one list per channel.
+	// controller, one list per channel: the SMC only observes requests
+	// that have arrived by its next decision point. Request bytes already
+	// live in the tile's slab; staged carries slots.
 	staged [][]stagedReq
-
-	blockedOn  uint64
-	fencing    bool
-	maxRelease clock.Cycles
-	marks      []clock.Cycles
-	// maxWall is the latest completion wall time of any SMC work (non-scaled
-	// mode): what a fence waits out. A field (not a loop local) so
-	// checkpoints can capture it.
-	maxWall clock.PS
+	// lastArrival is each channel's latest arrival key (the monotone
+	// arrival clamp; see issue).
+	lastArrival []int64
 
 	// ckpt, when non-nil, requests a checkpoint at the first quiescent point
 	// at or after ckpt.at emulated processor cycles; restore, when non-nil,
@@ -548,43 +555,17 @@ type engine struct {
 	restore *snapshot.Reader
 
 	// Burst service state: burstCap is the per-step budget granted to the
-	// controller (1 = serial); burstPhase records which engine state the
-	// current SMC step runs under; and burstLimit is, per channel, the next
-	// staged arrival (unscaled mode) the channel's burst service chain must
-	// stay below. The gates learn the stepped channel through per-env
-	// closures bound at run start. See burst.go.
+	// controller (1 = serial), and burstPhase records which engine state
+	// the current SMC step runs under. The gate learns the stepped channel
+	// through per-env closures bound at engine assembly. See burst.go.
 	burstCap   int
 	burstPhase burstPhase
-	burstLimit []int64
-
-	procCycles  clock.Cycles // final, non-scaled mode
-	globalFinal clock.Cycles
-}
-
-// extraModeled is the per-response modeled latency added by the engine on
-// top of what the controller accounted (decision latency of the modeled
-// hardware controller plus the interconnect path).
-func (e *engine) extraModeled(nResponses int) clock.PS {
-	extra := e.cfg.MemPathLatency
-	if e.cfg.Scaling || e.cfg.HardwareMC {
-		extra += e.cfg.ModeledCtrlLatency
-	}
-	return extra * clock.PS(nResponses)
 }
 
 func (e *engine) result() Result {
 	var r Result
-	if e.cfg.Scaling {
-		r.ProcCycles = e.ts.Proc()
-		r.EmulatedTime = e.cfg.CPU.Clock.ToTime(r.ProcCycles)
-		r.GlobalCycles = e.ts.Global()
-		r.WallTime = e.ts.WallTime()
-	} else {
-		r.ProcCycles = e.procCycles
-		r.EmulatedTime = e.cfg.CPU.Clock.ToTime(r.ProcCycles)
-		r.GlobalCycles = e.globalFinal
-		r.WallTime = e.cfg.FPGA.ToTime(r.GlobalCycles)
-	}
+	r.ProcCycles, r.GlobalCycles, r.WallTime = e.clk.totals()
+	r.EmulatedTime = e.cfg.CPU.Clock.ToTime(r.ProcCycles)
 	if r.WallTime > 0 {
 		r.SimSpeedMHz = float64(r.ProcCycles) / r.WallTime.Seconds() / 1e6
 	}

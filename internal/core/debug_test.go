@@ -6,7 +6,7 @@ import (
 	"easydram/internal/workload"
 )
 
-// TestDebugDivergence is a scratch diagnostic comparing the two engines on
+// TestDebugDivergence is a scratch diagnostic comparing the two clock modes on
 // progressively richer op mixes (kept because it pins down exactly which
 // op classes the two accounting schemes agree on).
 func TestDebugDivergence(t *testing.T) {

@@ -84,7 +84,7 @@ func TestRowCloneThroughEngine(t *testing.T) {
 }
 
 func TestRefreshAccountedConsistently(t *testing.T) {
-	// A long memory-active run must issue refreshes in both engines and
+	// A long memory-active run must issue refreshes in both clock modes and
 	// their counts must agree (deterministic settle rule).
 	ops := pointerChase(4000, 1<<20)
 	ts := mustRun(t, TimeScaling1GHz(), ops)
@@ -110,32 +110,44 @@ func TestMaxProcCyclesAborts(t *testing.T) {
 	}
 }
 
-// badPickSched is a deliberately broken user scheduler: its picks address
-// one past the end of the request table. With burst set, Pick behaves and
-// only PickBurst is broken, so the burst service path is the one that trips.
-type badPickSched struct{ burst bool }
+// badPickSched is a deliberately broken user scheduler: pick and burst
+// compute Pick's index and PickBurst's indices from the table length. A
+// nil burst makes PickBurst return Pick's index alone.
+type badPickSched struct {
+	pick  func(n int) int
+	burst func(n int) []int
+}
 
 func (badPickSched) Name() string { return "bad-pick" }
 
-func (s badPickSched) Pick(table []smc.Entry, _ []int) int {
-	if s.burst {
-		return 0
-	}
-	return len(table)
-}
+func (s badPickSched) Pick(table []smc.Entry, _ []int) int { return s.pick(len(table)) }
 
-func (badPickSched) PickBurst(table []smc.Entry, _ []int, _ int, buf []int) []int {
-	return append(buf, len(table))
+func (s badPickSched) PickBurst(table []smc.Entry, _ []int, _ int, buf []int) []int {
+	if s.burst == nil {
+		return append(buf, s.pick(len(table)))
+	}
+	return append(buf, s.burst(len(table))...)
 }
 
 // TestBadSchedulerPickIsAnError pins the scheduler contract at the System
 // boundary: an out-of-range pick, from Pick with the burst cap off or from
-// PickBurst with it on, ends the run with smc.ErrBadPick instead of a panic.
+// PickBurst with it on, and a PickBurst that repeats an index, end the run
+// with smc.ErrBadPick instead of a panic or a lost request.
 func TestBadSchedulerPickIsAnError(t *testing.T) {
-	for _, burst := range []bool{false, true} {
+	first := func(int) int { return 0 }
+	for _, tc := range []struct {
+		name  string
+		sched badPickSched
+		burst bool
+	}{
+		{"pick-out-of-range", badPickSched{pick: func(n int) int { return n }}, false},
+		{"burst-out-of-range", badPickSched{pick: first, burst: func(n int) []int { return []int{n} }}, true},
+		{"burst-repeats-first", badPickSched{pick: first, burst: func(int) []int { return []int{0, 0} }}, true},
+		{"burst-repeats-last", badPickSched{pick: first, burst: func(n int) []int { return []int{n - 1, n - 1} }}, true},
+	} {
 		cfg := burstMLP8(TimeScalingA57())
-		cfg.Scheduler = badPickSched{burst: burst}
-		if burst {
+		cfg.Scheduler = tc.sched
+		if tc.burst {
 			cfg.BurstCap = 8
 		}
 		sys, err := NewSystem(cfg)
@@ -143,7 +155,7 @@ func TestBadSchedulerPickIsAnError(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := sys.Run(wbRowKernel(2).Stream()); !errors.Is(err, smc.ErrBadPick) {
-			t.Fatalf("burst=%v: got %v, want smc.ErrBadPick", burst, err)
+			t.Errorf("%s: got %v, want smc.ErrBadPick", tc.name, err)
 		}
 	}
 }

@@ -21,7 +21,7 @@ package core
 //     slotRing — so heap maintenance performs no hashing either.
 //
 //   - arrivalRing: a FIFO of (request id, arrival key) in issue order.
-//     Because the engines issue requests at monotonically nondecreasing
+//     Because the engine issues requests at monotonically nondecreasing
 //     timestamps, the earliest live arrival is always at the head once
 //     entries whose request already completed are skipped; each entry is
 //     pushed and skipped at most once, so the amortised cost is O(1).

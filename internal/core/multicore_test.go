@@ -20,10 +20,10 @@ func digest(t *testing.T, r Result) string {
 }
 
 // TestSingleCoreBitIdentityGolden pins the multicore tentpole's central
-// guarantee: a Cores<=1 configuration routes through the unchanged
-// single-core engines, so RunStreams with one stream is bit-identical —
-// every field of the Result — to Run on the pre-multicore engine (whose
-// numbers TestGoldenCycleCounts pins).
+// guarantee: a Cores<=1 configuration runs the single-core loop, not the
+// merge, so RunStreams with one stream is bit-identical — every field of
+// the Result — to Run, in both clock modes (TestGoldenCycleCounts pins
+// Run's numbers).
 func TestSingleCoreBitIdentityGolden(t *testing.T) {
 	configs := map[string]Config{
 		"scaled":   TimeScalingA57(),

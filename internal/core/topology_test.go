@@ -35,7 +35,7 @@ func runTopo(t *testing.T, cfg Config, k workload.Kernel) Result {
 // TestTopologyExplicitSingleIsIdentical pins the refactor's safety net end
 // to end: an explicit 1-channel/1-rank topology must be bit-identical to
 // the zero-value (legacy) configuration — same cycles, same statistics —
-// on both engines. (The absolute legacy numbers are pinned separately by
+// in both clock modes. (The absolute legacy numbers are pinned separately by
 // TestGoldenCycleCounts, which runs the zero-value topology.)
 func TestTopologyExplicitSingleIsIdentical(t *testing.T) {
 	gemver := workload.PBGemver(48)
@@ -65,7 +65,7 @@ func TestTopologyExplicitSingleIsIdentical(t *testing.T) {
 }
 
 // TestMultiChannelDeterministic pins reproducibility of the per-channel
-// fan-out: identical multi-channel runs are bit-identical, on both engines.
+// fan-out: identical multi-channel runs are bit-identical, in both clock modes.
 func TestMultiChannelDeterministic(t *testing.T) {
 	k := workload.PBGemver(48)
 	for _, c := range []struct {

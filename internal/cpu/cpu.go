@@ -318,7 +318,7 @@ const maxBatchCycles clock.Cycles = 1 << 16
 //
 // A budget <= 0 means unlimited. Batching contract: the caller must cap
 // budget so that no response-release point falls strictly inside the batch
-// (the engines cap it at the next ready release), because the core's wait
+// (the engine caps it at the next ready release), because the core's wait
 // and back-pressure decisions read state that response delivery mutates.
 // Under that cap every decision inside the batch observes exactly the state
 // a cycle-at-a-time engine would have shown it, so batched execution is

@@ -127,7 +127,7 @@ type Case struct {
 	// contending for the shared memory system. A modeled-system axis (the
 	// direct-simulation baseline is single-core, so armed cases are judged on
 	// invariants and determinism, not the envelope). 0 or 1 runs the
-	// unchanged single-core engine.
+	// single-core loop.
 	Cores int `json:"cores,omitempty"`
 }
 

@@ -332,9 +332,16 @@ func (c *BaseController) ServeOne(env *Env) (bool, error) {
 		if len(c.burstIdx) == 0 {
 			return false, fmt.Errorf("%w: %s PickBurst returned no index", ErrBadPick, c.cfg.Scheduler.Name())
 		}
-		for _, idx := range c.burstIdx {
+		for i, idx := range c.burstIdx {
 			if err := c.checkPick(idx); err != nil {
 				return false, err
+			}
+			// Bursts are at most BurstCap long, so the quadratic scan is
+			// cheaper than any set.
+			for _, prev := range c.burstIdx[:i] {
+				if prev == idx {
+					return false, fmt.Errorf("%w: %s PickBurst repeated index %d", ErrBadPick, c.cfg.Scheduler.Name(), idx)
+				}
 			}
 		}
 		if len(c.burstIdx) > 1 {

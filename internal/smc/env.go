@@ -126,7 +126,7 @@ func (e *Env) SetBurst(budget int, gate func() bool) {
 }
 
 // SetBurstBudget adjusts the budget without touching the installed gate
-// (the engines bind the gate closure once per run and retune the budget per
+// (the engine binds the gate closure once per run and retunes the budget per
 // step, keeping the hot path allocation-free).
 func (e *Env) SetBurstBudget(budget int) {
 	if budget < 1 {

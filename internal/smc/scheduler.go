@@ -54,9 +54,9 @@ func (e *Entry) IsAccess() bool {
 }
 
 // ErrBadPick reports a Pick or PickBurst result that addresses no entry of
-// the request table (or a PickBurst that returned no index at all). The
-// controller returns it wrapped with the scheduler's name and the bad index
-// instead of serving anything.
+// the request table, or a PickBurst that returned no index at all or
+// repeated one. The controller returns it wrapped with the scheduler's name
+// and the bad index instead of serving anything.
 var ErrBadPick = errors.New("smc: scheduler picked outside the request table")
 
 // Scheduler selects the next buffered request to serve (EasyAPI provides
@@ -77,9 +77,9 @@ type Scheduler interface {
 // program (see BaseController's burst service path).
 type BurstScheduler interface {
 	Scheduler
-	// PickBurst appends to buf the table indices of up to cap entries in
-	// exact service order, starting with the entry Pick would return, and
-	// returns the extended slice. Every index after the first must satisfy:
+	// PickBurst appends to buf the distinct table indices of up to cap
+	// entries in exact service order, starting with the entry Pick would
+	// return, and returns the extended slice. Every index after the first must satisfy:
 	// it targets the same (bank, row) as the winner (with the winner's
 	// activation applied to openRows), it is a plain access (Read, Write,
 	// Writeback), and repeated Pick-and-remove calls — with no new arrivals
