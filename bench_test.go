@@ -445,6 +445,31 @@ func BenchmarkSubstrateMultiChannel(b *testing.B) {
 	b.ReportMetric(h.Overlap(), "chan-overlap-x")
 }
 
+// BenchmarkSubstrateMultiCoreMerge measures the multi-core merge loop: two
+// cores behind the shared L2, each streaming b.N line loads around its own
+// 16 MiB window (four times the L2, so the sweep keeps missing), contend
+// for the one channel's controller. Every op passes through the merge's
+// pick, the core step and the channel step, so its ns/op is the merge's
+// per-op host cost and its allocs/op must stay 0: the run's setup
+// amortizes away, and the steady-state loop allocates nothing.
+func BenchmarkSubstrateMultiCoreMerge(b *testing.B) {
+	sys, err := NewSystem(WithCores(2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	k := NewKernel("merge-stream", func(g *Gen) {
+		const lines = 16 << 20 / 64
+		for i := 0; i < b.N; i++ {
+			g.Load(uint64(i%lines) * 64)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := sys.RunKernels([]Kernel{k, k}); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkSubstrateProfileRow measures the host-driven characterization
 // request path — hostServe, the whole-row profiling program, and Bender
 // with buffered readback — one ProfileRow request per op at the reduced

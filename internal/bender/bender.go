@@ -151,26 +151,29 @@ func (e *Engine) DrainReadback() []ReadLine {
 // buffering it in the readback buffer (and is exempt from the buffer's
 // capacity limit). The access service paths use it: a plain read's data is
 // never consumed, so moving 64-byte lines per RD would be pure overhead.
-// Chip state, statistics, and Result are identical to a buffered run.
-func (e *Engine) ExecDiscardReads(prog []Instr, start clock.PS, wrbuf [][]byte) (Result, error) {
+// Chip state, statistics, and the result are identical to a buffered run.
+func (e *Engine) ExecDiscardReads(res *Result, prog []Instr, start clock.PS, wrbuf [][]byte) error {
 	e.discard = true
-	res, err := e.Exec(prog, start, wrbuf)
+	err := e.Exec(res, prog, start, wrbuf)
 	e.discard = false
-	return res, err
+	return err
 }
 
 // Exec runs prog starting at absolute chip time start. wrbuf supplies data
-// for WR instructions (indexed by Instr.C). It returns the execution result
-// or an error for malformed programs.
-func (e *Engine) Exec(prog []Instr, start clock.PS, wrbuf [][]byte) (Result, error) {
-	var res Result
+// for WR instructions (indexed by Instr.C). The result is written into
+// *res, which the caller owns (the tile keeps one per channel, so the
+// per-program result is never copied on its way up to the controller). On
+// a malformed program Exec returns an error and *res holds the counts of
+// the instructions that ran before it, with Elapsed zero.
+func (e *Engine) Exec(res *Result, prog []Instr, start clock.PS, wrbuf [][]byte) error {
+	*res = Result{}
 	var regs [NumRegs]int
 	period := e.bus.Period()
 	t := start
 	pc := 0
 	for steps := 0; ; steps++ {
 		if steps > maxSteps {
-			return res, fmt.Errorf("bender: program exceeded %d steps (missing END?)", maxSteps)
+			return fmt.Errorf("bender: program exceeded %d steps (missing END?)", maxSteps)
 		}
 		if pc < 0 || pc >= len(prog) {
 			// Falling off the end terminates, like END.
@@ -203,7 +206,7 @@ func (e *Engine) Exec(prog []Instr, start clock.PS, wrbuf [][]byte) (Result, err
 				// buffered read's would.
 				rel, err := e.chip.Read(in.A, in.B, t, nil)
 				if err != nil {
-					return res, fmt.Errorf("bender: pc=%d: %w", pc, err)
+					return fmt.Errorf("bender: pc=%d: %w", pc, err)
 				}
 				if !rel {
 					res.UnreliableReads++
@@ -214,7 +217,7 @@ func (e *Engine) Exec(prog []Instr, start clock.PS, wrbuf [][]byte) (Result, err
 				break
 			}
 			if len(e.readback) >= e.maxRead {
-				return res, fmt.Errorf("bender: readback buffer overflow (%d lines)", e.maxRead)
+				return fmt.Errorf("bender: readback buffer overflow (%d lines)", e.maxRead)
 			}
 			// Decode straight into the buffer's next slot: a local line
 			// handed to the Device interface would escape to the heap on
@@ -225,7 +228,7 @@ func (e *Engine) Exec(prog []Instr, start clock.PS, wrbuf [][]byte) (Result, err
 			rel, err := e.chip.Read(in.A, in.B, t, line.Data[:])
 			if err != nil {
 				e.readback = e.readback[:len(e.readback)-1]
-				return res, fmt.Errorf("bender: pc=%d: %w", pc, err)
+				return fmt.Errorf("bender: pc=%d: %w", pc, err)
 			}
 			line.Reliable = rel
 			if !rel {
@@ -240,7 +243,7 @@ func (e *Engine) Exec(prog []Instr, start clock.PS, wrbuf [][]byte) (Result, err
 				src = wrbuf[in.C]
 			}
 			if err := e.chip.Write(in.A, in.B, t, src); err != nil {
-				return res, fmt.Errorf("bender: pc=%d: %w", pc, err)
+				return fmt.Errorf("bender: pc=%d: %w", pc, err)
 			}
 			res.Commands++
 			t += period
@@ -251,22 +254,22 @@ func (e *Engine) Exec(prog []Instr, start clock.PS, wrbuf [][]byte) (Result, err
 			t += e.chip.Timing().TRFC
 		case OpWAIT:
 			if in.A < 0 {
-				return res, fmt.Errorf("bender: pc=%d: negative WAIT %d", pc, in.A)
+				return fmt.Errorf("bender: pc=%d: negative WAIT %d", pc, in.A)
 			}
 			t += clock.PS(in.A) * period
 		case OpLDI:
 			if err := checkReg(in.A, pc); err != nil {
-				return res, err
+				return err
 			}
 			regs[in.A] = in.B
 		case OpDEC:
 			if err := checkReg(in.A, pc); err != nil {
-				return res, err
+				return err
 			}
 			regs[in.A]--
 		case OpBNZ:
 			if err := checkReg(in.A, pc); err != nil {
-				return res, err
+				return err
 			}
 			if regs[in.A] != 0 {
 				pc = in.B
@@ -277,14 +280,14 @@ func (e *Engine) Exec(prog []Instr, start clock.PS, wrbuf [][]byte) (Result, err
 			continue
 		case OpEND:
 			res.Elapsed = t - start
-			return res, nil
+			return nil
 		default:
-			return res, fmt.Errorf("bender: pc=%d: unknown opcode %v", pc, in.Op)
+			return fmt.Errorf("bender: pc=%d: unknown opcode %v", pc, in.Op)
 		}
 		pc++
 	}
 	res.Elapsed = t - start
-	return res, nil
+	return nil
 }
 
 func checkReg(r, pc int) error {

@@ -6,6 +6,7 @@ import (
 
 	"easydram/internal/clock"
 	"easydram/internal/dram"
+	"easydram/internal/timing"
 )
 
 func newTestEngine(t *testing.T) *Engine {
@@ -44,8 +45,8 @@ func TestExecReadWrite(t *testing.T) {
 	b.Wait(p.TRCD)
 	b.RD(0, 9)
 
-	res, err := e.Exec(b.Program(), 0, b.WriteBuf())
-	if err != nil {
+	var res Result
+	if err := e.Exec(&res, b.Program(), 0, b.WriteBuf()); err != nil {
 		t.Fatalf("Exec: %v", err)
 	}
 	if res.Commands != 5 || res.Reads != 1 {
@@ -66,8 +67,8 @@ func TestExecElapsedMatchesWaits(t *testing.T) {
 		{Op: OpPRE, A: 0},
 		{Op: OpEND},
 	}
-	res, err := e.Exec(prog, 0, nil)
-	if err != nil {
+	var res Result
+	if err := e.Exec(&res, prog, 0, nil); err != nil {
 		t.Fatalf("Exec: %v", err)
 	}
 	want := 12 * p.Bus.Period() // ACT slot + 10 waits + PRE slot
@@ -84,8 +85,8 @@ func TestLoops(t *testing.T) {
 		b.Emit(Instr{Op: OpNOP})
 		count++
 	})
-	res, err := e.Exec(b.Program(), 0, nil)
-	if err != nil {
+	var res Result
+	if err := e.Exec(&res, b.Program(), 0, nil); err != nil {
 		t.Fatalf("Exec: %v", err)
 	}
 	// 5 iterations x 1 NOP = 5 bus cycles of NOPs.
@@ -97,21 +98,21 @@ func TestLoops(t *testing.T) {
 func TestRunawayProgramAborts(t *testing.T) {
 	e := newTestEngine(t)
 	prog := []Instr{{Op: OpJMP, A: 0}} // infinite loop
-	if _, err := e.Exec(prog, 0, nil); err == nil {
+	if err := e.Exec(&Result{}, prog, 0, nil); err == nil {
 		t.Fatalf("infinite loop must abort")
 	}
 }
 
 func TestBadRegisterFails(t *testing.T) {
 	e := newTestEngine(t)
-	if _, err := e.Exec([]Instr{{Op: OpLDI, A: 99, B: 1}}, 0, nil); err == nil {
+	if err := e.Exec(&Result{}, []Instr{{Op: OpLDI, A: 99, B: 1}}, 0, nil); err == nil {
 		t.Fatalf("register out of range must error")
 	}
 }
 
 func TestNegativeWaitFails(t *testing.T) {
 	e := newTestEngine(t)
-	if _, err := e.Exec([]Instr{{Op: OpWAIT, A: -1}}, 0, nil); err == nil {
+	if err := e.Exec(&Result{}, []Instr{{Op: OpWAIT, A: -1}}, 0, nil); err == nil {
 		t.Fatalf("negative WAIT must error")
 	}
 }
@@ -131,7 +132,7 @@ func TestReadbackOverflow(t *testing.T) {
 		b.RD(0, i)
 		b.Wait(chip.Timing().TCCDL)
 	}
-	if _, err := e.Exec(b.Program(), 0, b.WriteBuf()); err == nil {
+	if err := e.Exec(&Result{}, b.Program(), 0, b.WriteBuf()); err == nil {
 		t.Fatalf("readback overflow must error")
 	}
 }
@@ -141,7 +142,7 @@ func TestDrainReadback(t *testing.T) {
 	p := e.Chip().Timing()
 	b := NewBuilder(p)
 	b.ReadSequence(dram.Addr{Bank: 0, Row: 1, Col: 2})
-	if _, err := e.Exec(b.Program(), 0, b.WriteBuf()); err != nil {
+	if err := e.Exec(&Result{}, b.Program(), 0, b.WriteBuf()); err != nil {
 		t.Fatal(err)
 	}
 	if len(e.DrainReadback()) != 1 {
@@ -163,8 +164,8 @@ func TestRowCloneBuilderClones(t *testing.T) {
 	e := NewEngine(chip, 16)
 	b := NewBuilder(chip.Timing())
 	b.RowClone(2, 100, 101)
-	res, err := e.Exec(b.Program(), 0, b.WriteBuf())
-	if err != nil {
+	var res Result
+	if err := e.Exec(&res, b.Program(), 0, b.WriteBuf()); err != nil {
 		t.Fatalf("Exec: %v", err)
 	}
 	if res.CloneAttempts != 1 || res.CloneSuccesses != 1 {
@@ -179,7 +180,7 @@ func TestReadSequenceIsStandardCompliant(t *testing.T) {
 	e := newTestEngine(t)
 	b := NewBuilder(e.Chip().Timing())
 	b.ReadSequence(dram.Addr{Bank: 3, Row: 7, Col: 1})
-	if _, err := e.Exec(b.Program(), 0, b.WriteBuf()); err != nil {
+	if err := e.Exec(&Result{}, b.Program(), 0, b.WriteBuf()); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.Chip().Stats().TimingViolations; got != 0 {
@@ -216,7 +217,7 @@ func TestWRNilDataKeepsContents(t *testing.T) {
 	b.WR(0, 4, nil) // timing-only write
 	b.Wait(p.TCWL + p.TBL)
 	b.RD(0, 4)
-	if _, err := e.Exec(b.Program(), 0, b.WriteBuf()); err != nil {
+	if err := e.Exec(&Result{}, b.Program(), 0, b.WriteBuf()); err != nil {
 		t.Fatal(err)
 	}
 	rb := e.Readback()
@@ -227,8 +228,8 @@ func TestWRNilDataKeepsContents(t *testing.T) {
 
 func TestFallThroughEndTerminates(t *testing.T) {
 	e := newTestEngine(t)
-	res, err := e.Exec([]Instr{{Op: OpNOP}}, 0, nil)
-	if err != nil {
+	var res Result
+	if err := e.Exec(&res, []Instr{{Op: OpNOP}}, 0, nil); err != nil {
 		t.Fatalf("Exec: %v", err)
 	}
 	if res.Elapsed != clock.PS(e.Chip().Timing().Bus.Period()) {
@@ -247,8 +248,8 @@ func TestBitwiseMAJBuilder(t *testing.T) {
 	e := NewEngine(chip, 16)
 	b := NewBuilder(chip.Timing())
 	b.BitwiseMAJ(0, 4, 2)
-	res, err := e.Exec(b.Program(), 0, b.WriteBuf())
-	if err != nil {
+	var res Result
+	if err := e.Exec(&res, b.Program(), 0, b.WriteBuf()); err != nil {
 		t.Fatalf("Exec: %v", err)
 	}
 	if res.CloneAttempts != 1 || res.CloneSuccesses != 1 {
@@ -299,7 +300,7 @@ func TestReadbackMatchesChipReads(t *testing.T) {
 		}
 		b.ProfileCheck(dram.Addr{Bank: 1, Row: 9, Col: col}, rcd)
 	}
-	if _, err := e.Exec(b.Program(), 0, b.WriteBuf()); err != nil {
+	if err := e.Exec(&Result{}, b.Program(), 0, b.WriteBuf()); err != nil {
 		t.Fatal(err)
 	}
 	rb := e.Readback()
@@ -328,12 +329,12 @@ func TestReusedReadbackSlotClearsLinkCorrupt(t *testing.T) {
 	b := NewBuilder(e.Chip().Timing())
 	b.ReadSequence(addr).PrechargeAfterRead(addr.Bank)
 	prog := b.Program()
-	if _, err := e.Exec(prog, 0, nil); err != nil {
+	if err := e.Exec(&Result{}, prog, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	e.Readback()[0].LinkCorrupt = true // as the tile's link model marks it
 	e.DrainReadback()
-	if _, err := e.Exec(prog, clock.Microsecond, nil); err != nil {
+	if err := e.Exec(&Result{}, prog, clock.Microsecond, nil); err != nil {
 		t.Fatal(err)
 	}
 	rb := e.Readback()
@@ -346,12 +347,12 @@ func TestFailedReadLeavesReadbackUnchanged(t *testing.T) {
 	e := newTestEngine(t)
 	b := NewBuilder(e.Chip().Timing())
 	b.ReadSequence(dram.Addr{Bank: 0, Row: 1, Col: 2})
-	if _, err := e.Exec(b.Program(), 0, nil); err != nil {
+	if err := e.Exec(&Result{}, b.Program(), 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	before := append([]ReadLine(nil), e.Readback()...)
 	// Bank 5 was never activated: the RD fails after the buffer check.
-	if _, err := e.Exec([]Instr{{Op: OpRD, A: 5, B: 0}}, clock.Microsecond, nil); err == nil {
+	if err := e.Exec(&Result{}, []Instr{{Op: OpRD, A: 5, B: 0}}, clock.Microsecond, nil); err == nil {
 		t.Fatal("RD on a precharged bank must fail")
 	}
 	rb := e.Readback()
@@ -406,7 +407,7 @@ func TestWRStoresDataWithReusedBuffer(t *testing.T) {
 		b.Wait(p.TCWL + p.TBL + p.TWR)
 		b.PRE(0)
 		b.Wait(p.TRP)
-		if _, err := e.Exec(b.Program(), start, b.WriteBuf()); err != nil {
+		if err := e.Exec(&Result{}, b.Program(), start, b.WriteBuf()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -418,6 +419,134 @@ func TestWRStoresDataWithReusedBuffer(t *testing.T) {
 	for col, want := range [][]byte{x, y} {
 		if !e.Chip().PeekLine(dram.Addr{Bank: 0, Row: 6, Col: col}, got) || !bytes.Equal(got, want) {
 			t.Fatalf("col %d holds %x, want %x", col, got, want)
+		}
+	}
+}
+
+// openRow5 opens row 5 of bank 0 (the setup program of the open-row cases).
+func openRow5(b *Builder, p timing.Params) {
+	b.ACT(0, 5)
+	b.Wait(p.TRCD)
+}
+
+// TestExecResultInPlace pins the in-place result contract: Exec and
+// ExecDiscardReads overwrite the caller's Result — whatever it held — with
+// exactly the values the by-value Exec returned before results moved into
+// caller-owned storage, including the partial counts of a program that
+// fails part-way (Elapsed stays zero then). The programs are the access
+// service's shapes plus REF, a loop, a reduced-tRCD read, RowClone, and
+// the three malformed-program failures.
+func TestExecResultInPlace(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		maxRead int // 0 selects 64 lines
+		setup   func(*Builder, timing.Params)
+		build   func(*Builder, timing.Params)
+		// want is the buffered result, wantDiscard the discarding one when
+		// it differs (the readback limit binds buffered runs only).
+		want, wantDiscard Result
+		wantErr           bool
+	}{
+		{name: "row hit", setup: openRow5,
+			build: func(b *Builder, _ timing.Params) { b.RD(0, 9) },
+			want:  Result{Elapsed: 1500, Commands: 1, Reads: 1}},
+		{name: "closed row",
+			build: func(b *Builder, _ timing.Params) { b.ReadSequence(dram.Addr{Bank: 0, Row: 5, Col: 9}) },
+			want:  Result{Elapsed: 15000, Commands: 2, Reads: 1}},
+		{name: "row conflict", setup: openRow5,
+			build: func(b *Builder, p timing.Params) {
+				b.PRE(0)
+				b.Wait(p.TRP - p.Bus.Period())
+				b.ACTWithRCD(0, 6, p.TRCD)
+				b.Wait(p.TRCD - p.Bus.Period())
+				b.WR(0, 3, nil)
+			},
+			want: Result{Elapsed: 28500, Commands: 3}},
+		{name: "closed-page PRE", setup: openRow5,
+			build: func(b *Builder, p timing.Params) { b.Wait(p.TRTP); b.PRE(0) },
+			want:  Result{Elapsed: 9000, Commands: 1}},
+		{name: "REF", setup: openRow5,
+			build: func(b *Builder, p timing.Params) { b.PRE(0); b.Wait(p.TRP); b.REF() },
+			want:  Result{Elapsed: 365000, Commands: 2}},
+		{name: "loop", setup: openRow5,
+			build: func(b *Builder, p timing.Params) {
+				b.Loop(1, 4, func(b *Builder) { b.RD(0, 2); b.Wait(p.TCCDL) })
+			},
+			want: Result{Elapsed: 42000, Commands: 4, Reads: 4}},
+		{name: "reduced tRCD",
+			build: func(b *Builder, p timing.Params) {
+				b.ACTWithRCD(2, 11, 3*p.Bus.Period())
+				b.Wait(2 * p.Bus.Period())
+				for c := 0; c < 8; c++ {
+					b.RD(2, c)
+					b.Wait(p.TCCDL)
+				}
+			},
+			want: Result{Elapsed: 88500, Commands: 9, Reads: 8, UnreliableReads: 1}},
+		{name: "row clone",
+			build: func(b *Builder, _ timing.Params) { b.RowClone(2, 100, 101) },
+			want:  Result{Elapsed: 156000, Commands: 4, CloneAttempts: 1, CloneSuccesses: 1}},
+		{name: "negative WAIT", wantErr: true,
+			build: func(b *Builder, _ timing.Params) {
+				b.ACT(1, 7)
+				b.Emit(Instr{Op: OpWAIT, A: -1})
+			},
+			want: Result{Commands: 1}},
+		{name: "bad register", setup: openRow5, wantErr: true,
+			build: func(b *Builder, _ timing.Params) {
+				b.RD(0, 1)
+				b.Emit(Instr{Op: OpLDI, A: NumRegs, B: 1})
+			},
+			want: Result{Commands: 1, Reads: 1}},
+		{name: "readback overflow", maxRead: 2, setup: openRow5, wantErr: true,
+			build: func(b *Builder, p timing.Params) {
+				for i := 0; i < 3; i++ {
+					b.RD(0, i)
+					b.Wait(p.TCCDL)
+				}
+			},
+			want:        Result{Commands: 2, Reads: 2},
+			wantDiscard: Result{Elapsed: 31500, Commands: 3, Reads: 3}},
+	} {
+		for _, discard := range []bool{false, true} {
+			cfg := dram.DefaultConfig()
+			cfg.RowsPerBank = 4096
+			chip, err := dram.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			maxRead := tc.maxRead
+			if maxRead == 0 {
+				maxRead = 64
+			}
+			e := NewEngine(chip, maxRead)
+			p := chip.Timing()
+			if tc.setup != nil {
+				b := NewBuilder(p)
+				tc.setup(b, p)
+				if err := e.Exec(&Result{}, b.Program(), 0, b.WriteBuf()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			b := NewBuilder(p)
+			tc.build(b, p)
+			// Stale contents the exec must overwrite.
+			res := Result{Elapsed: 7, Commands: 7, Reads: 7, UnreliableReads: 7, CloneAttempts: 7, CloneSuccesses: 7, LaunchFailed: true}
+			want, wantErr := tc.want, tc.wantErr
+			if discard {
+				err = e.ExecDiscardReads(&res, b.Program(), clock.Microsecond, b.WriteBuf())
+				if tc.wantDiscard != (Result{}) {
+					want, wantErr = tc.wantDiscard, false
+				}
+			} else {
+				err = e.Exec(&res, b.Program(), clock.Microsecond, b.WriteBuf())
+			}
+			if (err != nil) != wantErr {
+				t.Errorf("%s (discard=%v): err = %v, want error %v", tc.name, discard, err, wantErr)
+			}
+			if res != want {
+				t.Errorf("%s (discard=%v): result %+v, want %+v", tc.name, discard, res, want)
+			}
 		}
 	}
 }

@@ -8,9 +8,9 @@ import (
 	"easydram/internal/workload"
 )
 
-// Whole-system checkpointing (ROADMAP item 3's durability half). A
+// Whole-system checkpointing, the durability half of the snapshot store. A
 // checkpoint is taken only at a quiescent point: the engine's in-flight
-// machinery — release heap, arrival rings, staged lists, controller tables,
+// machinery — release queue, arrival rings, staged lists, controller tables,
 // tile FIFOs and slabs — is empty, the processor holds no outstanding
 // misses, and no fence is pending. Everything that remains is persistent
 // state with a per-layer SaveState hook, so the blob is small and a restore

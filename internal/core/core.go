@@ -27,14 +27,15 @@
 //
 // The engine's inner loop is event-driven: each iteration either advances
 // the processor or performs one SMC step, and both need the earliest
-// pending event. Ready responses live in an indexed min-heap keyed by
-// release point (releaseQueue), giving O(1) min-peek, O(log n) delivery,
-// and O(1) lookup of the response a blocked processor waits on. Unserved
-// requests additionally sit in an issue-order FIFO of arrival keys
-// (arrivalRing); arrivals are monotone, so the earliest live arrival — the
-// refresh accounting horizon — is read off the head in amortised O(1). See
-// events.go. Both clock modes share the structures; only the key domain
-// differs (processor cycles vs wall picoseconds).
+// pending event. Ready responses live in an indexed queue sorted by
+// release point (releaseQueue), giving O(1) min-peek, O(1) delivery in the
+// common in-order case, and O(1) lookup of the response a blocked
+// processor waits on. Unserved requests additionally sit in an
+// issue-order FIFO of arrival keys (arrivalRing); arrivals are monotone,
+// so the earliest live arrival — the refresh accounting horizon — is read
+// off the head in amortised O(1). See events.go. Both clock modes share
+// the structures; only the key domain differs (processor cycles vs wall
+// picoseconds).
 package core
 
 import (
@@ -262,6 +263,10 @@ type System struct {
 	// hostReqID numbers host-driven characterization requests (see host.go).
 	// Per-system so concurrently running systems stay independent.
 	hostReqID uint64
+
+	// failed is the error of a run that a scheduler panic ended; every
+	// later run returns it (the system's state is torn mid-step).
+	failed error
 }
 
 // hostReqIDBase is the first host-driven request ID. It sits far above any
@@ -440,12 +445,34 @@ func (s *System) RunStreams(strms []workload.Stream) (Result, error) {
 	if want == 1 {
 		return s.run(strms[0], nil, nil)
 	}
-	return s.runMulti(strms)
+	return s.runMulti(strms, nil)
+}
+
+// recoverRun is deferred once per run, at the run boundary: it turns a
+// panic out of a channel's scheduler (smc.ErrSchedulerPanic) into the run's
+// error and records it for later runs. Any other panic propagates.
+func (s *System) recoverRun(err *error) {
+	v := recover()
+	if v == nil {
+		return
+	}
+	for i := range s.chans {
+		if perr := s.chans[i].ctl.SchedulerPanic(v); perr != nil {
+			s.failed = fmt.Errorf("core: %w", perr)
+			*err = s.failed
+			return
+		}
+	}
+	panic(v)
 }
 
 // run is the common body behind Run, RunCheckpoint, and RunRestored.
-func (s *System) run(strm workload.Stream, ck *ckptReq, restore *snapshot.Reader) (Result, error) {
+func (s *System) run(strm workload.Stream, ck *ckptReq, restore *snapshot.Reader) (_ Result, err error) {
 	defer strm.Close()
+	if s.failed != nil {
+		return Result{}, s.failed
+	}
+	defer s.recoverRun(&err)
 	core, err := cpu.New(s.cfg.CPU, s.hier, strm)
 	if err != nil {
 		return Result{}, fmt.Errorf("core: %w", err)

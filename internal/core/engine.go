@@ -157,6 +157,9 @@ func (e *engine) issueAll(h *hostCore, out *cpu.Outcome, proc clock.Cycles, now 
 		arrival := max(now, e.lastArrival[ch])
 		e.lastArrival[ch] = arrival
 		e.inflight[ch].Put(req.ID, pending{posted: req.Posted, arrival: arrival})
+		if e.multi != nil {
+			e.multi.noteFed(ch)
+		}
 		if e.trackArrivals {
 			e.arrivals[ch].Push(req.ID, arrival)
 		}
@@ -190,7 +193,7 @@ func (e *engine) smcStep(phase burstPhase) error {
 	if best < 0 {
 		return e.idle()
 	}
-	return e.stepChannel(best, e.clk.now())
+	return e.stepChannel(best, e.clk.now(), e.keys.floor(bestAt))
 }
 
 // idle handles an SMC step with nothing to serve: every in-flight request
@@ -226,17 +229,26 @@ func (e *engine) chanPoint(ch int) (clock.PS, bool) {
 }
 
 // stepChannel runs one controller iteration on channel ch with the engine
-// at key now and settles its cost through the clock policy.
-func (e *engine) stepChannel(ch int, now int64) error {
+// at key now and settles its cost through the clock policy. decision is the
+// channel's decision point as a key (floor of chanPoint), which the caller
+// has just computed to pick the channel.
+func (e *engine) stepChannel(ch int, now, decision int64) error {
 	first := e.clk.ingestFirst()
 	if first {
-		e.ingest(ch)
+		e.ingest(ch, decision)
 	}
-	if err := e.settleRefreshes(ch); err != nil {
+	moved, err := e.settleRefreshes(ch)
+	if err != nil {
 		return err
 	}
 	if !first {
-		e.ingest(ch)
+		if moved {
+			// A settled refresh advanced the service point the decision
+			// point derives from.
+			at, _ := e.chanPoint(ch)
+			decision = e.keys.floor(at)
+		}
+		e.ingest(ch, decision)
 	}
 	c := &e.sys.chans[ch]
 	c.env.Reset(e.clk.stepTime(ch, now))
@@ -252,17 +264,15 @@ func (e *engine) stepChannel(ch int, now int64) error {
 }
 
 // ingest makes exactly the staged requests of channel ch that have arrived
-// by its next decision point visible to its controller: the SMC only
+// by its decision point (a key) visible to its controller: the SMC only
 // observes requests that have arrived by the time it decides. Staged
 // requests sit in issue order with monotone arrivals, so when the
 // controller is idle the earliest is first.
-func (e *engine) ingest(ch int) {
+func (e *engine) ingest(ch int, decision int64) {
 	staged := e.staged[ch]
 	if len(staged) == 0 {
 		return
 	}
-	at, _ := e.chanPoint(ch)
-	decision := e.keys.floor(at)
 	c := &e.sys.chans[ch]
 	kept := staged[:0]
 	for _, sr := range staged {
@@ -279,27 +289,29 @@ func (e *engine) ingest(ch int) {
 // before its next request service starts: a refresh fires iff it is due by
 // max(service point, earliest live arrival). Refreshes falling in idle
 // periods chain off the stale service point and so cost the emulated
-// timeline nothing.
-func (e *engine) settleRefreshes(ch int) error {
+// timeline nothing. It reports whether it settled any refresh.
+func (e *engine) settleRefreshes(ch int) (bool, error) {
 	c := &e.sys.chans[ch]
 	if !c.ctl.RefreshEnabled() {
-		return nil
+		return false, nil
 	}
+	served := false
 	for {
 		arrival, ok := e.earliestArrival(ch)
 		if !ok {
-			return nil
+			return served, nil
 		}
 		horizon := max(e.keys.time(arrival), e.keys.time(e.keys.floor(e.chain[ch])))
 		due := c.ctl.NextRefreshDue()
 		if due > horizon {
-			return nil
+			return served, nil
 		}
 		c.env.Reset(due)
 		if err := c.ctl.ServeRefresh(c.env); err != nil {
-			return err
+			return served, err
 		}
 		e.clk.serve(ch, e.keys.ceil(due), c.env.ChargedFPGA(), c.env.BenderWall(), c.env.Occupancy(), c.env.Latency(), 0)
+		served = true
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"easydram/internal/smc"
@@ -156,6 +157,70 @@ func TestBadSchedulerPickIsAnError(t *testing.T) {
 		}
 		if _, err := sys.Run(wbRowKernel(2).Stream()); !errors.Is(err, smc.ErrBadPick) {
 			t.Errorf("%s: got %v, want smc.ErrBadPick", tc.name, err)
+		}
+	}
+}
+
+// panicSched is a user scheduler with a bug: Pick (or PickBurst) serves
+// the oldest-positioned entry a few times, then panics.
+type panicSched struct{ left int }
+
+func (*panicSched) Name() string { return "panicky" }
+
+func (s *panicSched) Pick(_ []smc.Entry, _ []int) int {
+	if s.left == 0 {
+		panic("scheduler bug")
+	}
+	s.left--
+	return 0
+}
+
+func (s *panicSched) PickBurst(table []smc.Entry, open []int, _ int, buf []int) []int {
+	return append(buf, s.Pick(table, open))
+}
+
+// TestSchedulerPanicIsAnError pins the scheduler-panic boundary: a Pick or
+// PickBurst that panics ends the run — single-core, with and without the
+// burst path, and multi-core — with smc.ErrSchedulerPanic naming the
+// scheduler and the panic value, and every later run on that System
+// returns the same error.
+func TestSchedulerPanicIsAnError(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cores int
+		burst bool
+	}{
+		{"single-core", 1, false},
+		{"single-core-burst", 1, true},
+		{"multi-core", 2, false},
+	} {
+		cfg := burstMLP8(TimeScalingA57())
+		cfg.Cores = tc.cores
+		cfg.Scheduler = &panicSched{left: 5}
+		if tc.burst {
+			cfg.BurstCap = 8
+		}
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() error {
+			strms := make([]workload.Stream, tc.cores)
+			for i := range strms {
+				strms[i] = workload.OffsetStream(wbRowKernel(4).Stream(), uint64(i)*workload.MixWindowBytes)
+			}
+			_, err := sys.RunStreams(strms)
+			return err
+		}
+		err = run()
+		if !errors.Is(err, smc.ErrSchedulerPanic) {
+			t.Fatalf("%s: got %v, want smc.ErrSchedulerPanic", tc.name, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "panicky") || !strings.Contains(msg, "scheduler bug") {
+			t.Errorf("%s: error %q does not name the scheduler and the panic value", tc.name, msg)
+		}
+		if again := run(); again != err {
+			t.Errorf("%s: later run returned %v, want the first run's error", tc.name, again)
 		}
 	}
 }

@@ -11,14 +11,17 @@ package core
 // profile with map iteration. Two purpose-built structures replace those
 // scans:
 //
-//   - releaseQueue: an indexed min-heap of response release points keyed by
-//     (release, insertion sequence). Min-peek is O(1), pop and remove are
-//     O(log n), and the position index gives O(1) lookup of the response a
-//     blocked processor is waiting on. The sequence number makes tie order
-//     deterministic (the engine's results are insensitive to delivery order
-//     within one release point, but determinism must not rest on that).
-//     The position index is an idIndex — the same dense-ID slot scheme as
-//     slotRing — so heap maintenance performs no hashing either.
+//   - releaseQueue: the ready responses sorted by (release, insertion
+//     sequence), from a moving head. Min-peek and pop are O(1), and the
+//     position index gives O(1) lookup of the response a blocked processor
+//     is waiting on. Responses reach a core in nearly release order (each
+//     channel's service chain is monotone, and a core has at most MLP
+//     responses waiting), so a push almost always appends and a removal
+//     almost always takes the head. The sequence number makes tie order
+//     deterministic (the engine's results are insensitive to delivery
+//     order within one release point, but determinism must not rest on
+//     that). The position index is an idIndex — the same dense-ID slot
+//     scheme as slotRing — so queue maintenance performs no hashing either.
 //
 //   - arrivalRing: a FIFO of (request id, arrival key) in issue order.
 //     Because the engine issues requests at monotonically nondecreasing
@@ -43,12 +46,13 @@ type releaseItem struct {
 	seq     uint64
 }
 
-// releaseQueue is an indexed min-heap over (release, seq) with O(1) lookup
-// by request id. The id -> heap-index map is a dense idIndex rather than a
-// Go map: request IDs are sequential, so slot indexing replaces hashing on
-// every push, pop, swap, and removal.
+// releaseQueue holds ready responses in (release, seq) order: items[head:]
+// is sorted, with the earliest at head. The id -> index map is a dense
+// idIndex rather than a Go map: request IDs are sequential, so slot
+// indexing replaces hashing on every push, pop and removal.
 type releaseQueue struct {
 	items []releaseItem
+	head  int
 	pos   idIndex // request id -> index in items
 	seq   uint64
 }
@@ -58,24 +62,42 @@ func newReleaseQueue() releaseQueue {
 }
 
 // Len reports the number of queued responses.
-func (q *releaseQueue) Len() int { return len(q.items) }
+func (q *releaseQueue) Len() int { return len(q.items) - q.head }
 
 // Min returns the earliest-release item. The queue must be non-empty.
-func (q *releaseQueue) Min() releaseItem { return q.items[0] }
+func (q *releaseQueue) Min() releaseItem { return q.items[q.head] }
 
-// Push inserts a release point for id.
+// Push inserts a release point for id: appended, then moved back past any
+// later item (rare — responses arrive nearly in release order).
 func (q *releaseQueue) Push(id uint64, release int64) {
-	q.items = append(q.items, releaseItem{id: id, release: release, seq: q.seq})
+	if len(q.items) == cap(q.items) && 2*q.head >= len(q.items) {
+		// Reuse the consumed prefix, once it is at least half the
+		// storage, instead of growing.
+		n := copy(q.items, q.items[q.head:])
+		q.items = q.items[:n]
+		q.head = 0
+		for i := range q.items {
+			q.pos.Put(q.items[i].id, i)
+		}
+	}
+	it := releaseItem{id: id, release: release, seq: q.seq}
 	q.seq++
+	q.items = append(q.items, it)
 	i := len(q.items) - 1
+	for i > q.head && it.before(&q.items[i-1]) {
+		q.items[i] = q.items[i-1]
+		q.pos.Put(q.items[i].id, i)
+		i--
+	}
+	q.items[i] = it
 	q.pos.Put(id, i)
-	q.siftUp(i)
 }
 
 // PopMin removes and returns the earliest-release item.
 func (q *releaseQueue) PopMin() releaseItem {
-	it := q.items[0]
-	q.removeAt(0)
+	it := q.items[q.head]
+	q.pos.Delete(it.id)
+	q.advance()
 	return it
 }
 
@@ -94,67 +116,36 @@ func (q *releaseQueue) Remove(id uint64) bool {
 	if !ok {
 		return false
 	}
-	q.removeAt(i)
+	q.pos.Delete(id)
+	if i == q.head {
+		q.advance()
+		return true
+	}
+	last := len(q.items) - 1
+	for ; i < last; i++ {
+		q.items[i] = q.items[i+1]
+		q.pos.Put(q.items[i].id, i)
+	}
+	q.items = q.items[:last]
 	return true
 }
 
-func (q *releaseQueue) less(i, j int) bool {
-	a, b := &q.items[i], &q.items[j]
+// advance drops the head item, recycling the storage once drained.
+func (q *releaseQueue) advance() {
+	q.head++
+	if q.head == len(q.items) {
+		q.items = q.items[:0]
+		q.head = 0
+	}
+}
+
+// before reports whether a orders before b: earlier release, then earlier
+// insertion.
+func (a *releaseItem) before(b *releaseItem) bool {
 	if a.release != b.release {
 		return a.release < b.release
 	}
 	return a.seq < b.seq
-}
-
-func (q *releaseQueue) swap(i, j int) {
-	q.items[i], q.items[j] = q.items[j], q.items[i]
-	q.pos.Put(q.items[i].id, i)
-	q.pos.Put(q.items[j].id, j)
-}
-
-func (q *releaseQueue) removeAt(i int) {
-	last := len(q.items) - 1
-	q.pos.Delete(q.items[i].id)
-	if i != last {
-		q.items[i] = q.items[last]
-		q.pos.Put(q.items[i].id, i)
-	}
-	q.items = q.items[:last]
-	if i < last {
-		// The moved element may need to travel either direction.
-		q.siftDown(i)
-		q.siftUp(i)
-	}
-}
-
-func (q *releaseQueue) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			return
-		}
-		q.swap(i, parent)
-		i = parent
-	}
-}
-
-func (q *releaseQueue) siftDown(i int) {
-	n := len(q.items)
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && q.less(l, min) {
-			min = l
-		}
-		if r < n && q.less(r, min) {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		q.swap(i, min)
-		i = min
-	}
 }
 
 // arrivalEntry records one request's arrival key (processor-cycle tag under
@@ -208,7 +199,7 @@ type idSlot[V any] struct {
 // table's worth of successors), the table doubles until every live entry
 // fits. Steady state performs zero allocations. Both engine-side dense-ID
 // structures instantiate it: slotRing (the in-flight request table) and
-// idIndex (the releaseQueue's id -> heap-position index).
+// idIndex (the releaseQueue's id -> position index).
 type idTable[V any] struct {
 	slots []idSlot[V]
 	mask  uint64
@@ -219,7 +210,7 @@ type idTable[V any] struct {
 // that was ~15% of the substrate CPU profile.
 type slotRing = idTable[pending]
 
-// idIndex maps request IDs to releaseQueue heap positions, removing the
+// idIndex maps request IDs to releaseQueue positions, removing the
 // engine's last hash map.
 type idIndex = idTable[int]
 

@@ -73,7 +73,7 @@ func TestSlotRingLongLivedEntry(t *testing.T) {
 
 // TestReleaseQueueOrderAndLookup covers the dense-ID position index end to
 // end: pushes, keyed min-pops, O(1) release lookup, and removal from the
-// middle of the heap.
+// middle of the queue.
 func TestReleaseQueueOrderAndLookup(t *testing.T) {
 	q := newReleaseQueue()
 	if q.Len() != 0 {
@@ -108,6 +108,68 @@ func TestReleaseQueueOrderAndLookup(t *testing.T) {
 	}
 }
 
+// TestReleaseQueueMatchesReference drives the queue with a seeded mix of
+// near-in-order and out-of-order pushes, pops, lookups and removals (the
+// head, the middle, the tail) and checks every answer against a plain
+// list kept in (release, insertion) order.
+func TestReleaseQueueMatchesReference(t *testing.T) {
+	q := newReleaseQueue()
+	var ref []releaseItem // sorted by (release, seq)
+	var seq uint64
+	rng := uint64(0x9e3779b97f4a7c15)
+	draw := func(n uint64) uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng % n
+	}
+	next := uint64(1)
+	clock := int64(0)
+	for step := 0; step < 20000; step++ {
+		switch op := draw(8); {
+		case op < 4 || len(ref) == 0:
+			clock += int64(draw(4))
+			rel := clock
+			if draw(4) == 0 {
+				rel -= int64(draw(64)) // out of order
+			}
+			q.Push(next, rel)
+			it := releaseItem{id: next, release: rel, seq: seq}
+			seq++
+			next++
+			i := len(ref)
+			for i > 0 && it.before(&ref[i-1]) {
+				i--
+			}
+			ref = append(ref, releaseItem{})
+			copy(ref[i+1:], ref[i:])
+			ref[i] = it
+		case op < 6:
+			got, want := q.PopMin(), ref[0]
+			ref = ref[1:]
+			if got.id != want.id || got.release != want.release {
+				t.Fatalf("step %d: PopMin = %+v, want %+v", step, got, want)
+			}
+		default:
+			i := int(draw(uint64(len(ref))))
+			id := ref[i].id
+			if r, ok := q.Release(id); !ok || r != ref[i].release {
+				t.Fatalf("step %d: Release(%d) = %d, %v, want %d", step, id, r, ok, ref[i].release)
+			}
+			if !q.Remove(id) {
+				t.Fatalf("step %d: Remove(%d) failed", step, id)
+			}
+			ref = append(ref[:i], ref[i+1:]...)
+		}
+		if q.Len() != len(ref) {
+			t.Fatalf("step %d: Len = %d, want %d", step, q.Len(), len(ref))
+		}
+		if len(ref) > 0 && q.Min().id != ref[0].id {
+			t.Fatalf("step %d: Min = %d, want %d", step, q.Min().id, ref[0].id)
+		}
+	}
+}
+
 // TestReleaseQueueLongLivedEntry pins the position index's growth path: an
 // entry that stays queued while thousands of successors are pushed and
 // popped must survive the dense table doubling (the releaseQueue analogue
@@ -115,7 +177,7 @@ func TestReleaseQueueOrderAndLookup(t *testing.T) {
 func TestReleaseQueueLongLivedEntry(t *testing.T) {
 	q := newReleaseQueue()
 	const ancient = uint64(3)
-	const future = int64(1) << 40 // keeps long-lived entries off the heap top
+	const future = int64(1) << 40 // keeps long-lived entries off the queue head
 	q.Push(ancient, future)
 	for id := uint64(4); id < 4+4096; id++ {
 		if id%3 == 0 {

@@ -3,13 +3,14 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"easydram/internal/clock"
 	"easydram/internal/cpu"
 	"easydram/internal/workload"
 )
 
-// Multi-core emulated hosts (ROADMAP item 2): N cpu.Core instances with
+// Multi-core emulated hosts: N cpu.Core instances with
 // private L1s behind a shared L2 (cache.MultiHierarchy) issue misses into
 // the existing per-channel controllers, competing for banks — the habitat
 // interference schedulers like BLISS exist for.
@@ -62,9 +63,31 @@ type mcCore struct {
 }
 
 // mcEngine is the merge-loop state shared across cores.
+//
+// Key cache: every actor's key is kept in chanKeys/coreKeys and recomputed
+// only when a step can have moved it. A channel's key (its decision point,
+// chanPoint) moves only when that channel steps or a core step issues into
+// it; a core's key moves only when that core steps or a channel step
+// settles one of its requests (noteSettled). The merge therefore
+// recomputes, after each step, the actor it stepped, the cores in settled
+// and the channels in fed — and nothing else. The scan over the cached keys
+// keeps the uncached order and tie rule, so the pick sequence is the same
+// by construction.
 type mcEngine struct {
 	e     *engine
 	cores []*mcCore
+
+	chanKeys, coreKeys []int64
+	// settled is the set of cores (bit i = core i) whose requests the
+	// current channel step released; fed lists the channels the current
+	// core step issued into (repeats allowed).
+	settled uint64
+	fed     []int
+
+	// pickHook, when non-nil, runs at every merge pick with the chosen
+	// actor and key (the key-cache tests check the cache against fresh
+	// keys there).
+	pickHook func(m *mcEngine, ch, ci int, key int64) error
 }
 
 // noteSettled records one settled response for its owning core: the fence
@@ -72,11 +95,20 @@ type mcEngine struct {
 // delivery queue. Called from the channel settle path in place of the
 // single-core shared-queue push.
 func (m *mcEngine) noteSettled(id uint64, release int64, posted bool) {
-	c := m.cores[mcOwner(id, len(m.cores))]
+	owner := mcOwner(id, len(m.cores))
+	c := m.cores[owner]
 	c.inflight--
 	c.fenceAt = max(c.fenceAt, release)
 	if !posted {
 		c.ready.Push(id, release)
+	}
+	m.settled |= 1 << owner
+}
+
+// noteFed records that the current core step issued into channel ch.
+func (m *mcEngine) noteFed(ch int) {
+	if n := len(m.fed); n == 0 || m.fed[n-1] != ch {
+		m.fed = append(m.fed, ch)
 	}
 }
 
@@ -104,6 +136,27 @@ func (m *mcEngine) coreKey(c *mcCore) int64 {
 	return c.pos
 }
 
+// chanKey is channel ch's next event key: its decision point in the key
+// domain, or mcInf when the channel has nothing for its controller.
+func (m *mcEngine) chanKey(ch int) int64 {
+	if at, ok := m.e.chanPoint(ch); ok {
+		return m.e.keys.floor(at)
+	}
+	return mcInf
+}
+
+// initKeys fills the key cache from scratch.
+func (m *mcEngine) initKeys() {
+	m.chanKeys = make([]int64, len(m.e.sys.chans))
+	m.coreKeys = make([]int64, len(m.cores))
+	for ch := range m.chanKeys {
+		m.chanKeys[ch] = m.chanKey(ch)
+	}
+	for i, c := range m.cores {
+		m.coreKeys[i] = m.coreKey(c)
+	}
+}
+
 // allFinished reports whether every core has exhausted its stream.
 func (m *mcEngine) allFinished() bool {
 	for _, c := range m.cores {
@@ -114,25 +167,27 @@ func (m *mcEngine) allFinished() bool {
 	return true
 }
 
-// pickActor scans channels then cores and returns the earliest actor:
-// (channel index, -1) or (-1, core index). Channels win ties so responses
-// settle before a same-key core steps past them.
-func (m *mcEngine) pickActor() (bestChan, bestCore int, key int64) {
-	e := m.e
-	bestChan, bestCore, key = -1, -1, mcInf
-	for ch := range e.sys.chans {
-		if at, ok := e.chanPoint(ch); ok {
-			if k := e.keys.floor(at); k < key {
-				key, bestChan = k, ch
-			}
+// pickActor scans the cached keys, channels then cores, and returns the
+// earliest actor — (channel index, -1) or (-1, core index) — and its key.
+// Channels win ties so responses settle before a same-key core steps past
+// them. rest is the earliest key among all other actors.
+func (m *mcEngine) pickActor() (bestChan, bestCore int, key, rest int64) {
+	bestChan, bestCore, key, rest = -1, -1, mcInf, mcInf
+	for ch, k := range m.chanKeys {
+		if k < key {
+			rest, key, bestChan = key, k, ch
+		} else if k < rest {
+			rest = k
 		}
 	}
-	for i, c := range m.cores {
-		if k := m.coreKey(c); k < key {
-			key, bestCore, bestChan = k, i, -1
+	for i, k := range m.coreKeys {
+		if k < key {
+			rest, key, bestCore, bestChan = key, k, i, -1
+		} else if k < rest {
+			rest = k
 		}
 	}
-	return bestChan, bestCore, key
+	return bestChan, bestCore, key, rest
 }
 
 // deadlockErr reports the stuck state when no actor has an event.
@@ -153,11 +208,17 @@ func (m *mcEngine) deadlockErr() error {
 // policy moves the processor counter to the makespan once at the end.
 func (e *engine) runMerge() error {
 	m := e.multi
+	m.initKeys()
 	// now is the merge clock: the latest key processed, which channel
 	// steps read as the current time.
 	var now int64
 	for {
-		ch, ci, key := m.pickActor()
+		ch, ci, key, rest := m.pickActor()
+		if m.pickHook != nil {
+			if err := m.pickHook(m, ch, ci, key); err != nil {
+				return err
+			}
+		}
 		if ch < 0 && ci < 0 {
 			if m.allFinished() {
 				break
@@ -166,12 +227,18 @@ func (e *engine) runMerge() error {
 		}
 		now = max(now, key)
 		if ch >= 0 {
-			if err := e.stepChannel(ch, now); err != nil {
+			if err := e.stepChannel(ch, now, key); err != nil {
 				return err
 			}
+			m.chanKeys[ch] = m.chanKey(ch)
+			for set := m.settled; set != 0; set &= set - 1 {
+				i := bits.TrailingZeros64(set)
+				m.coreKeys[i] = m.coreKey(m.cores[i])
+			}
+			m.settled = 0
 			continue
 		}
-		if err := m.stepCore(ci); err != nil {
+		if err := m.runCore(ci, rest, &now); err != nil {
 			return err
 		}
 	}
@@ -186,6 +253,40 @@ func (e *engine) runMerge() error {
 	}
 	e.clk.finish(makespan, end)
 	return nil
+}
+
+// runCore steps core ci and keeps stepping it while the merge would pick
+// it again. A core step moves no other core's key, and a channel it issued
+// into can only have gained a decision point (an idle channel's first
+// staged request) or kept its own, so the earliest other key after the
+// step is rest lowered by the fed channels' new keys. While the core's new
+// key stays strictly below that, the scan would choose the core next, and
+// the pick is taken here without one. now is the merge clock, advanced per
+// pick as the merge loop does.
+func (m *mcEngine) runCore(ci int, rest int64, now *int64) error {
+	c := m.cores[ci]
+	for {
+		if err := m.stepCore(ci); err != nil {
+			return err
+		}
+		k := m.coreKey(c)
+		m.coreKeys[ci] = k
+		for _, ch := range m.fed {
+			ck := m.chanKey(ch)
+			m.chanKeys[ch] = ck
+			rest = min(rest, ck)
+		}
+		m.fed = m.fed[:0]
+		if k >= rest {
+			return nil
+		}
+		if m.pickHook != nil {
+			if err := m.pickHook(m, -1, ci, k); err != nil {
+				return err
+			}
+		}
+		*now = max(*now, k)
+	}
 }
 
 // stepCore advances core ci one merge event: consume a matured response,
@@ -252,13 +353,18 @@ func (m *mcEngine) stepCore(ci int) error {
 	return nil
 }
 
-// runMulti builds the N-core engine and drives the merge loop.
-func (s *System) runMulti(strms []workload.Stream) (Result, error) {
+// runMulti builds the N-core engine and drives the merge loop. hook, when
+// non-nil, runs at every merge pick (see mcEngine.pickHook).
+func (s *System) runMulti(strms []workload.Stream, hook func(m *mcEngine, ch, ci int, key int64) error) (_ Result, err error) {
 	for _, st := range strms {
 		defer st.Close()
 	}
+	if s.failed != nil {
+		return Result{}, s.failed
+	}
+	defer s.recoverRun(&err)
 	n := len(strms)
-	m := &mcEngine{}
+	m := &mcEngine{pickHook: hook}
 	for i, st := range strms {
 		core, err := cpu.New(s.cfg.CPU, s.mhier.View(i), st)
 		if err != nil {

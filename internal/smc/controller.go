@@ -110,6 +110,9 @@ type BaseController struct {
 	burstSched     BurstScheduler
 	statelessSched bool
 	burstIdx       []int
+	// picking is set while the scheduler's Pick or PickBurst runs, so a
+	// panic recovered at the run boundary can be attributed to it.
+	picking bool
 
 	// rankShift splits a channel-global bank index into its rank (bank >>
 	// rankShift); lastCASRank tracks the rank of the previous column
@@ -305,13 +308,17 @@ func (c *BaseController) ServeOne(env *Env) (bool, error) {
 		}
 		env.Charge(costs.ReceiveRequest)
 		req := t.Req(slot)
-		ent := Entry{Slot: slot, ID: req.ID, Kind: req.Kind, Addr: c.cfg.Mapper.Map(req.Addr), Seq: c.nextSeq}
+		// Fill the new entry in place: building it in a local and
+		// appending would copy the whole entry once more per request.
+		c.table = append(c.table, Entry{})
+		ent := &c.table[len(c.table)-1]
+		ent.Slot, ent.ID, ent.Kind, ent.Seq = slot, req.ID, req.Kind, c.nextSeq
+		ent.Addr = c.cfg.Mapper.Map(req.Addr)
 		c.nextSeq++
 		switch req.Kind {
 		case mem.RowClone, mem.Bitwise:
 			ent.Src = c.cfg.Mapper.Map(req.Src)
 		}
-		c.table = append(c.table, ent)
 	}
 	if len(c.table) == 0 {
 		return false, nil
@@ -328,7 +335,9 @@ func (c *BaseController) ServeOne(env *Env) (bool, error) {
 	// for the run of requests it would serve consecutively on one
 	// (bank, row) and serve them all through one Bender program.
 	if c.burstSched != nil && env.BurstBudget() > 1 && len(c.table) > 1 {
+		c.picking = true
 		c.burstIdx = c.burstSched.PickBurst(c.table, c.openRows, env.BurstBudget(), c.burstIdx[:0])
+		c.picking = false
 		if len(c.burstIdx) == 0 {
 			return false, fmt.Errorf("%w: %s PickBurst returned no index", ErrBadPick, c.cfg.Scheduler.Name())
 		}
@@ -368,12 +377,26 @@ func (c *BaseController) ServeOne(env *Env) (bool, error) {
 		// is unaffected.)
 		idx = 0
 	} else {
+		c.picking = true
 		idx = c.cfg.Scheduler.Pick(c.table, c.openRows)
+		c.picking = false
 		if err := c.checkPick(idx); err != nil {
 			return false, err
 		}
 	}
 	return c.serveIndex(env, idx)
+}
+
+// SchedulerPanic reports whether v, a value recovered from a panic, came
+// out of this controller's scheduler: it returns ErrSchedulerPanic wrapped
+// with the scheduler's name and v when the panic unwound through Pick or
+// PickBurst, and nil otherwise. The controller installs no recover of its
+// own; the system's run boundary recovers once per run and asks here.
+func (c *BaseController) SchedulerPanic(v any) error {
+	if !c.picking {
+		return nil
+	}
+	return fmt.Errorf("%w: %s: %v", ErrSchedulerPanic, c.cfg.Scheduler.Name(), v)
 }
 
 // checkPick returns ErrBadPick, wrapped with the scheduler's name and the
@@ -385,13 +408,11 @@ func (c *BaseController) checkPick(idx int) error {
 	return nil
 }
 
-// serveIndex serves the table entry at idx and removes it.
+// serveIndex serves the table entry at idx and removes it. The serve
+// routines read the entry in place (none of them touches the table), and
+// the swap-remove runs after service, so the entry is never copied out.
 func (c *BaseController) serveIndex(env *Env, idx int) (bool, error) {
-	ent := c.table[idx]
-	last := len(c.table) - 1
-	c.table[idx] = c.table[last]
-	c.table = c.table[:last]
-
+	ent := &c.table[idx]
 	var err error
 	switch ent.Kind {
 	case mem.Read:
@@ -412,6 +433,11 @@ func (c *BaseController) serveIndex(env *Env, idx int) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	last := len(c.table) - 1
+	if idx != last {
+		c.table[idx] = c.table[last]
+	}
+	c.table = c.table[:last]
 	c.stats.Served++
 	if len(c.table) == 0 && env.Tile().IncomingEmpty() {
 		env.SetCritical(false)
@@ -548,7 +574,7 @@ func (c *BaseController) emitMitigation(env *Env, b *bender.Builder, bank, row i
 // execAccess runs the built access program, re-flushing it on injected
 // transient launch failures (the builder still holds the program — see
 // Tile.Exec). The fault-free path is a single nil-latency branch.
-func (c *BaseController) execAccess(env *Env) (bender.Result, error) {
+func (c *BaseController) execAccess(env *Env) (*bender.Result, error) {
 	res, err := env.ExecAccess()
 	if err != nil || !res.LaunchFailed {
 		return res, err
@@ -557,7 +583,7 @@ func (c *BaseController) execAccess(env *Env) (bender.Result, error) {
 }
 
 // exec is execAccess for programs whose readback is consumed (profiling).
-func (c *BaseController) exec(env *Env) (bender.Result, error) {
+func (c *BaseController) exec(env *Env) (*bender.Result, error) {
 	res, err := env.Exec()
 	if err != nil || !res.LaunchFailed {
 		return res, err
@@ -570,9 +596,9 @@ func (c *BaseController) exec(env *Env) (bender.Result, error) {
 // a host link that fails MaxRetries+1 consecutive launches is dead, and the
 // emulation cannot meaningfully continue past it (at the default 1e-4 fail
 // rate the chance is ~1e-16 per program).
-func (c *BaseController) retryLaunch(env *Env, exec func() (bender.Result, error)) (bender.Result, error) {
+func (c *BaseController) retryLaunch(env *Env, exec func() (*bender.Result, error)) (*bender.Result, error) {
 	if !c.recov.Enabled {
-		return bender.Result{}, fmt.Errorf("smc: Bender launch failed with recovery disabled")
+		return nil, fmt.Errorf("smc: Bender launch failed with recovery disabled")
 	}
 	backoff := c.recov.Backoff
 	for attempt := 0; attempt < c.recov.MaxRetries; attempt++ {
@@ -585,7 +611,7 @@ func (c *BaseController) retryLaunch(env *Env, exec func() (bender.Result, error
 		backoff *= 2
 	}
 	c.stats.RetryGiveUps++
-	return bender.Result{}, fmt.Errorf("smc: Bender launch failed %d times; giving up", c.recov.MaxRetries+1)
+	return nil, fmt.Errorf("smc: Bender launch failed %d times; giving up", c.recov.MaxRetries+1)
 }
 
 // retryRead is the verify-and-retry read path: the chip flagged this access's
@@ -619,7 +645,7 @@ func (c *BaseController) retryRead(env *Env, a dram.Addr, occ, lat *clock.PS) (b
 }
 
 // serveAccess serves a cache-line read or write with an open-row policy.
-func (c *BaseController) serveAccess(env *Env, ent Entry, isWrite bool) error {
+func (c *BaseController) serveAccess(env *Env, ent *Entry, isWrite bool) error {
 	costs := env.Tile().Costs()
 	env.Charge(costs.MapAddr)
 	a := ent.Addr
@@ -800,7 +826,7 @@ func (c *BaseController) removeServed(idxs []int) {
 }
 
 // serveRowClone serves an in-DRAM row copy (§7).
-func (c *BaseController) serveRowClone(env *Env, ent Entry) error {
+func (c *BaseController) serveRowClone(env *Env, ent *Entry) error {
 	costs := env.Tile().Costs()
 	env.Charge(2 * costs.MapAddr)
 	src, dst := ent.Src, ent.Addr
@@ -833,7 +859,7 @@ func (c *BaseController) serveRowClone(env *Env, ent Entry) error {
 // serveBitwise serves an in-DRAM bulk bitwise majority: a many-row
 // activation of the rows at Src and Addr (which drags in their address-OR
 // row). Success means the chip committed the majority result.
-func (c *BaseController) serveBitwise(env *Env, ent Entry) error {
+func (c *BaseController) serveBitwise(env *Env, ent *Entry) error {
 	costs := env.Tile().Costs()
 	env.Charge(2 * costs.MapAddr)
 	r1, r2 := ent.Src, ent.Addr
@@ -863,7 +889,7 @@ func (c *BaseController) serveBitwise(env *Env, ent Entry) error {
 // serveProfile serves a §8.1 profiling request: initialize the target line
 // with a known pattern, read it back with the requested tRCD, and report
 // whether the data survived.
-func (c *BaseController) serveProfile(env *Env, ent Entry) error {
+func (c *BaseController) serveProfile(env *Env, ent *Entry) error {
 	costs := env.Tile().Costs()
 	env.Charge(costs.MapAddr)
 	a := ent.Addr
@@ -925,7 +951,7 @@ func (c *BaseController) serveProfile(env *Env, ent Entry) error {
 // to 64 rows. Per-line outcomes are identical to the per-line path because
 // each line's test read happens exactly RCD after its own activation (see
 // Builder.ProfileCheck).
-func (c *BaseController) serveProfileRow(env *Env, ent Entry) error {
+func (c *BaseController) serveProfileRow(env *Env, ent *Entry) error {
 	costs := env.Tile().Costs()
 	env.Charge(costs.MapAddr)
 	a := ent.Addr
@@ -963,7 +989,7 @@ func (c *BaseController) serveProfileRow(env *Env, ent Entry) error {
 
 		n := b.Len()
 		env.Charge(costs.BuildPerInstr*n + costs.FlushLaunch + costs.FlushPerInstr*n)
-		var res bender.Result
+		var res *bender.Result
 		var err error
 		res, rb, err = c.tileExec(env)
 		if err != nil {
@@ -1028,7 +1054,7 @@ func (c *BaseController) serveProfileRow(env *Env, ent Entry) error {
 // tileExec runs the built program via the tile directly (bulk profiling
 // consumes the tile's readback in place instead of buffering it through the
 // Env), re-flushing on injected transient launch failures like retryLaunch.
-func (c *BaseController) tileExec(env *Env) (bender.Result, []bender.ReadLine, error) {
+func (c *BaseController) tileExec(env *Env) (*bender.Result, []bender.ReadLine, error) {
 	res, rb, err := env.Tile().Exec()
 	if err != nil {
 		return res, rb, fmt.Errorf("smc: %w", err)

@@ -192,8 +192,10 @@ func (e *Env) SetCritical(on bool) {
 func (e *Env) Critical() bool { return e.critical }
 
 // Exec flushes the built command batch to DRAM Bender and executes it,
-// charging transfer and launch costs (EasyAPI flush_commands).
-func (e *Env) Exec() (bender.Result, error) {
+// charging transfer and launch costs (EasyAPI flush_commands). The result
+// is the tile's own (see tile.Tile.Exec): valid until the tile's next
+// exec.
+func (e *Env) Exec() (*bender.Result, error) {
 	costs := e.tile.Costs()
 	n := e.tile.Builder().Len()
 	e.Charge(costs.BuildPerInstr*n + costs.FlushLaunch + costs.FlushPerInstr*n)
@@ -204,7 +206,7 @@ func (e *Env) Exec() (bender.Result, error) {
 // flush costs. The burst service path uses it: a burst program's transfer
 // and launch costs are charged per segment, sized as the serial path's
 // per-request programs, so the one real execution must not charge again.
-func (e *Env) ExecPrecharged() (bender.Result, error) {
+func (e *Env) ExecPrecharged() (*bender.Result, error) {
 	res, rb, err := e.tile.Exec()
 	if err != nil {
 		return res, fmt.Errorf("smc: %w", err)
@@ -216,22 +218,18 @@ func (e *Env) ExecPrecharged() (bender.Result, error) {
 
 // ExecAccess executes the built command batch for a plain cache-line access
 // step: charged like Exec, but read data is dropped instead of buffered —
-// access responses carry no data, so nobody ever consumes it.
-func (e *Env) ExecAccess() (bender.Result, error) {
+// access responses carry no data, so nobody ever consumes it. The result
+// is valid until the tile's next exec.
+func (e *Env) ExecAccess() (*bender.Result, error) {
 	costs := e.tile.Costs()
 	n := e.tile.Builder().Len()
 	e.Charge(costs.BuildPerInstr*n + costs.FlushLaunch + costs.FlushPerInstr*n)
-	res, err := e.tile.ExecDiscardReads()
-	if err != nil {
-		return res, fmt.Errorf("smc: %w", err)
-	}
-	e.benderWall += res.Elapsed
-	return res, nil
+	return e.ExecAccessPrecharged()
 }
 
 // ExecAccessPrecharged is ExecAccess without the build and flush charges
 // (the burst path charges them per segment).
-func (e *Env) ExecAccessPrecharged() (bender.Result, error) {
+func (e *Env) ExecAccessPrecharged() (*bender.Result, error) {
 	res, err := e.tile.ExecDiscardReads()
 	if err != nil {
 		return res, fmt.Errorf("smc: %w", err)

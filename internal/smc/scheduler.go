@@ -59,6 +59,12 @@ func (e *Entry) IsAccess() bool {
 // and the bad index instead of serving anything.
 var ErrBadPick = errors.New("smc: scheduler picked outside the request table")
 
+// ErrSchedulerPanic reports a scheduler whose Pick or PickBurst panicked.
+// The system running it fails the run with this error, wrapped with the
+// scheduler's name and the panic value (see BaseController.SchedulerPanic),
+// and returns the same error from every later run.
+var ErrSchedulerPanic = errors.New("smc: scheduler panicked")
+
 // Scheduler selects the next buffered request to serve (EasyAPI provides
 // FCFS, FR-FCFS, and BLISS implementations; users can plug their own).
 type Scheduler interface {

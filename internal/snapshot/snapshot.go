@@ -1,6 +1,6 @@
 // Package snapshot implements the durable, integrity-checked serialization
 // format behind EasyDRAM's characterization store and whole-system
-// checkpoints (ROADMAP item 3: characterization-as-a-service).
+// checkpoints (characterization as a reusable, stored artifact).
 //
 // A snapshot file is a sectioned binary container:
 //

@@ -144,6 +144,12 @@ type Tile struct {
 	// link is the host-link fault model (nil without injection — the exec
 	// path then pays a single nil check).
 	link *fault.LinkModel
+
+	// res is the latest program's result. Bender writes it in place and
+	// every exec hands back a pointer to it, valid until the next exec: a
+	// by-value result would be zeroed and copied through every frame of
+	// the access path.
+	res bender.Result
 }
 
 // New builds a tile over the given chip.
@@ -237,8 +243,10 @@ func (t *Tile) SetFaultLink(m *fault.LinkModel) { t.link = m }
 // Exec runs the builder's current program on DRAM Bender, advancing the
 // DRAM-bus cursor, and returns the result plus drained readback lines.
 // With a link model installed, the drained readback may come back short by
-// its final line or with one line corrupted (marked LinkCorrupt).
-func (t *Tile) Exec() (bender.Result, []bender.ReadLine, error) {
+// its final line or with one line corrupted (marked LinkCorrupt). The
+// result is the tile's own: the pointer is valid until the tile's next
+// exec, and the readback until the next Exec.
+func (t *Tile) Exec() (*bender.Result, []bender.ReadLine, error) {
 	res, err := t.exec(false)
 	if err != nil || res.LaunchFailed {
 		return res, nil, err
@@ -264,27 +272,28 @@ func (t *Tile) Exec() (bender.Result, []bender.ReadLine, error) {
 
 // ExecDiscardReads runs the builder's current program like Exec but drops
 // read data instead of buffering it (plain access service, whose readback
-// nobody consumes).
-func (t *Tile) ExecDiscardReads() (bender.Result, error) {
+// nobody consumes). The result pointer is valid until the tile's next exec.
+func (t *Tile) ExecDiscardReads() (*bender.Result, error) {
 	return t.exec(true)
 }
 
-func (t *Tile) exec(discard bool) (bender.Result, error) {
+func (t *Tile) exec(discard bool) (*bender.Result, error) {
+	res := &t.res
 	if t.link != nil && t.link.FailLaunch() {
 		// Transient launch failure: the program never reaches Bender. The
 		// builder is NOT reset and the cursor does not advance, so the
 		// controller can re-flush the identical program; the modeled retry
 		// backoff is the controller's to charge.
 		t.stats.LaunchFails++
-		return bender.Result{LaunchFailed: true}, nil
+		*res = bender.Result{LaunchFailed: true}
+		return res, nil
 	}
 	prog := t.builder.Program()
-	var res bender.Result
 	var err error
 	if discard {
-		res, err = t.engine.ExecDiscardReads(prog, t.dramCursor, t.builder.WriteBuf())
+		err = t.engine.ExecDiscardReads(res, prog, t.dramCursor, t.builder.WriteBuf())
 	} else {
-		res, err = t.engine.Exec(prog, t.dramCursor, t.builder.WriteBuf())
+		err = t.engine.Exec(res, prog, t.dramCursor, t.builder.WriteBuf())
 	}
 	if err != nil {
 		return res, fmt.Errorf("tile: %w", err)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"easydram/internal/dram"
+	"easydram/internal/fault"
 	"easydram/internal/mem"
 )
 
@@ -59,6 +60,42 @@ func TestExecAdvancesCursorAndResetsBuilder(t *testing.T) {
 		t.Fatalf("programs = %d", tl.Stats().ProgramsRun)
 	}
 	_ = p
+}
+
+// TestLaunchFailureKeepsProgram pins the transient launch-failure path of
+// the in-place result: a failed launch reports LaunchFailed through the
+// tile's own result on both exec paths, runs nothing, and leaves the
+// program in the builder, so the controller's re-flush executes it intact
+// (and the result storage it reads is the same).
+func TestLaunchFailureKeepsProgram(t *testing.T) {
+	tl := newTestTile(t)
+	tl.SetFaultLink(fault.NewLinkModel(fault.LinkConfig{ExecFailRate: 1}, 1))
+	tl.Builder().ReadSequence(dram.Addr{Bank: 0, Row: 1, Col: 0})
+	n := tl.Builder().Len()
+
+	failed, err := tl.ExecDiscardReads()
+	if err != nil || !failed.LaunchFailed || failed.Commands != 0 {
+		t.Fatalf("discarding exec: res=%+v err=%v, want a launch failure", failed, err)
+	}
+	res, rb, err := tl.Exec()
+	if err != nil || !res.LaunchFailed || rb != nil {
+		t.Fatalf("buffered exec: res=%+v rb=%d err=%v, want a launch failure", res, len(rb), err)
+	}
+	if tl.Builder().Len() != n {
+		t.Fatalf("builder holds %d instructions after failed launches, want %d", tl.Builder().Len(), n)
+	}
+	if st := tl.Stats(); st.LaunchFails != 2 || st.ProgramsRun != 0 {
+		t.Fatalf("stats = %+v, want 2 launch failures and no program run", st)
+	}
+
+	tl.SetFaultLink(nil)
+	retry, err := tl.ExecDiscardReads()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if retry != failed || retry.LaunchFailed || retry.Commands != 2 || retry.Reads != 1 {
+		t.Fatalf("re-flush: res=%+v (same storage %v), want the kept program's ACT and RD", retry, retry == failed)
+	}
 }
 
 func TestDefaultCostModelPositive(t *testing.T) {
